@@ -29,6 +29,7 @@ import (
 	"commprof/internal/exec"
 	"commprof/internal/metrics"
 	"commprof/internal/obs"
+	"commprof/internal/redundancy"
 	"commprof/internal/sig"
 	"commprof/internal/splash"
 	"commprof/internal/trace"
@@ -51,7 +52,9 @@ type Options struct {
 	// explicitly.
 	Seed int64
 	// SignatureSlots is the signature size n (default 2^20). Larger means
-	// fewer false dependencies and more memory (Eq. 2).
+	// fewer false dependencies and more memory (Eq. 2). At most 2^32−1, the
+	// reach of the signature's 32-bit filter index; larger values fail with
+	// an *OptionsError.
 	SignatureSlots uint64
 	// BloomFPRate is the per-slot bloom-filter false-positive rate. The
 	// zero value is a sentinel meaning "unset" and becomes the paper's
@@ -70,7 +73,11 @@ type Options struct {
 	PhaseWindow uint64
 	// Parallel runs threads as free goroutines instead of the deterministic
 	// round-robin scheduler. Results remain correct but are no longer
-	// bit-reproducible across runs.
+	// bit-reproducible across runs. The threads do not analyse: each stages
+	// its accesses in its own producer for the sharded pipeline, flushed at
+	// every barrier and lock release, so every analyser structure keeps a
+	// single owner. With AnalysisShards 0 the pipeline has one shard, which
+	// owns the whole un-partitioned signature; Report.Pipeline describes it.
 	Parallel bool
 	// SampleBurst/SamplePeriod enable read sampling (the paper's §VII
 	// overhead-reduction outlook): of every SamplePeriod reads per thread,
@@ -106,23 +113,25 @@ type Options struct {
 	// private partition of the signature slot budget, a bounded queue and a
 	// dedicated worker goroutine; shard matrices merge into the standard
 	// report at the end of the run. 0 (the default) keeps the paper's serial
-	// analysis. Composes with PhaseWindow: shard workers bucket events by
+	// analysis (a Parallel run then uses one shard, see Parallel; the
+	// ProfileTraceParallel entry point uses GOMAXPROCS shards). Composes
+	// with PhaseWindow: shard workers bucket events by
 	// the global access index and the per-shard window partials merge to the
 	// serial analyser's exact window set.
 	AnalysisShards int
-	// ShardQueueCapacity bounds each shard's queue in accesses when
-	// AnalysisShards is active (0 = the pipeline default of 8192).
+	// ShardQueueCapacity bounds each shard's queue in accesses when the
+	// sharded analyser runs (0 = the pipeline default of 8192).
 	ShardQueueCapacity int
 	// ShardPolicy selects the sharded analyser's overload behaviour:
 	// ShardPolicyBlock (default) applies backpressure, ShardPolicyDegrade
-	// thins reads while a queue is saturated. Ignored when AnalysisShards
-	// is 0.
+	// thins reads while a queue is saturated. Ignored by the serial
+	// analyser.
 	ShardPolicy ShardPolicy
 	// ShardBatchSize sets the sharded analyser's producer staging batch and
 	// worker drain limit in accesses (0 = the pipeline default of 256).
 	// Larger batches amortise shard-queue locking further; smaller ones
-	// reduce detection latency and staging residency. Ignored when
-	// AnalysisShards is 0.
+	// reduce detection latency and staging residency. Ignored by the
+	// serial analyser.
 	ShardBatchSize int
 	// RedundancyCacheBits, when non-zero, enables the redundancy-filtering
 	// fast path: a 2^bits-entry direct-mapped cache of the last (thread,
@@ -132,12 +141,10 @@ type Options struct {
 	// touched (see internal/redundancy). Detected dependencies and matrices
 	// are unchanged on a collision-free backend and statistically unchanged
 	// on the asymmetric signature; Report.Redundancy carries the hit-rate
-	// telemetry. 10–14 bits (a cache that fits in L1/L2) is the sweet spot.
-	// The serial analyser uses the cache only under the deterministic
-	// scheduler — with Parallel the target threads call the detector
-	// concurrently and the single-consumer cache would race, so it is
-	// silently disabled; the sharded analyser (AnalysisShards > 0) gives
-	// every shard worker a private cache and filters in any mode.
+	// telemetry. 10–14 bits (a cache that fits in L1/L2) is the sweet spot;
+	// at most 20 (12 MiB per cache), larger values fail with an
+	// *OptionsError. The sharded analyser gives every shard worker a
+	// private cache.
 	RedundancyCacheBits uint
 	// AccuracyTargetFPR, when positive (and < 1), enables the online
 	// signature-accuracy monitor: a deterministically hash-selected
@@ -150,10 +157,8 @@ type Options struct {
 	// a warn-once saturation alarm — at the cost of shadowing the sampled
 	// slice exactly. Zero (the default) disables the monitor. The value is
 	// the FPR the run is expected to stay under; DefaultAccuracyTargetFPR
-	// is a reasonable starting point. Like RedundancyCacheBits, the serial
-	// analyser monitors only under the deterministic scheduler — with
-	// Parallel the single-consumer shadow pairing would race — while the
-	// sharded analyser (AnalysisShards > 0) monitors per shard in any mode.
+	// is a reasonable starting point. The sharded analyser monitors per
+	// shard.
 	AccuracyTargetFPR float64
 	// AccuracySampleBits is k in the 1/2^k accuracy sample: 0 shadows every
 	// granule (exact — Report.Accuracy.EstimatedFPR equals the offline
@@ -198,6 +203,31 @@ func (o *Options) setDefaults() {
 	if o.TraceFormat == 0 {
 		o.TraceFormat = trace.DefaultVersion
 	}
+}
+
+// OptionsError reports an Options value that a run rejects before it
+// allocates anything: a size beyond a documented memory or index bound.
+type OptionsError struct {
+	Field string // the Options field
+	Err   error  // what is wrong with its value
+}
+
+func (e *OptionsError) Error() string { return "commprof: Options." + e.Field + ": " + e.Err.Error() }
+
+func (e *OptionsError) Unwrap() error { return e.Err }
+
+// normalize fills the defaults in and checks the fields that size
+// allocations against their bounds; every entry point calls it first.
+func (o *Options) normalize() error {
+	o.setDefaults()
+	if o.SignatureSlots > sig.MaxSlots {
+		return &OptionsError{Field: "SignatureSlots", Err: &sig.SlotsError{Slots: o.SignatureSlots}}
+	}
+	if o.RedundancyCacheBits > redundancy.MaxBits {
+		return &OptionsError{Field: "RedundancyCacheBits", Err: fmt.Errorf("%d bits exceeds the %d-bit bound (%d MiB per cache)",
+			o.RedundancyCacheBits, redundancy.MaxBits, 12<<redundancy.MaxBits>>20)}
+	}
+	return nil
 }
 
 // DefaultAccuracyTargetFPR is a reasonable Options.AccuracyTargetFPR when
@@ -258,7 +288,9 @@ func SignatureMemoryBytes(slots uint64, threads int, fpRate float64) uint64 {
 
 // Profile runs the named bundled workload under the profiler.
 func Profile(opts Options) (*Report, error) {
-	opts.setDefaults()
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
 	tel := opts.Telemetry
 	setup := tel.span("workload-setup")
 	size, err := splash.ParseSize(opts.InputSize)
@@ -271,45 +303,47 @@ func Profile(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runSimulated(opts.Workload, opts, opts.Threads, prog.Table(), tel, setup, prog.Run)
+}
+
+// runSimulated profiles one run of a workload on the simulated-thread
+// engine: Profile, Run and ProfileMiniPar all end here. run executes the
+// workload on the engine it is given; setup (nil-safe) is the span to end
+// when the run starts. With AnalysisShards > 0 or Parallel the sharded
+// pipeline analyses the run (runSharded); otherwise the serial detector
+// does, behind the deterministic scheduler, which serialises every probe
+// call so the detector, its signature, redundancy cache and accuracy
+// monitor have one owner at a time.
+func runSimulated(name string, opts Options, threads int, table *trace.Table, tel *Telemetry, setup *obs.SpanHandle, run func(*exec.Engine) (exec.Stats, error)) (*Report, error) {
 	probes := tel.probes()
-	if opts.AnalysisShards > 0 {
-		return profileSharded(opts, prog, tel, probes, setup)
+	if opts.AnalysisShards > 0 || opts.Parallel {
+		return runSharded(name, opts, threads, table, tel, probes, setup, run)
 	}
 	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: opts.Threads, FPRate: opts.BloomFPRate,
+		Slots: opts.SignatureSlots, Threads: threads, FPRate: opts.BloomFPRate,
 		Probes: probes.SigProbes(),
 	})
 	if err != nil {
 		return nil, err
 	}
+	mon, err := newAccuracyMonitor(opts, threads, probes)
+	if err != nil {
+		return nil, err
+	}
 	var seg *metrics.PhaseSegmenter
 	dopts := detect.Options{
-		Threads: opts.Threads, Backend: backend, Table: prog.Table(),
-		GranularityBits: opts.GranularityBits,
-		Probes:          probes.DetectProbes(),
+		Threads: threads, Backend: backend, Table: table,
+		GranularityBits:     opts.GranularityBits,
+		RedundancyCacheBits: opts.RedundancyCacheBits,
+		Accuracy:            mon,
+		Probes:              probes.DetectProbes(),
 	}
-	if !opts.Parallel {
-		// Parallel mode would drive the single-consumer cache from many
-		// goroutines at once; see the Options.RedundancyCacheBits contract.
-		// The accuracy monitor has the same single-consumer contract: the
-		// production and shadow verdicts of a granule must interleave in one
-		// temporal order to stay paired.
-		dopts.RedundancyCacheBits = opts.RedundancyCacheBits
-		dopts.Accuracy, err = newAccuracyMonitor(opts, opts.Threads, probes)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ps, err := newPhaseState(opts, prog.Table(), tel, probes)
+	ps, err := newPhaseState(opts, table, tel, probes)
 	if err != nil {
 		return nil, err
 	}
 	if ps != nil {
-		// The windowed layer tolerates out-of-order events behind one mutex,
-		// so the segmenter runs under the parallel scheduler too (windows may
-		// then close before all their events land; the final report
-		// recomputes from the complete set).
-		seg, err = metrics.NewPhaseSegmenter(opts.Threads, opts.PhaseWindow, phaseThreshold)
+		seg, err = metrics.NewPhaseSegmenter(threads, opts.PhaseWindow, phaseThreshold)
 		if err != nil {
 			return nil, err
 		}
@@ -331,8 +365,7 @@ func Profile(opts Options) (*Report, error) {
 		sampleFraction = smp.SampleFraction()
 	}
 	eng := exec.New(exec.Options{
-		Threads: opts.Threads, Probe: probe, Parallel: opts.Parallel,
-		Probes: probes.EngineProbes(),
+		Threads: threads, Probe: probe, Probes: probes.EngineProbes(),
 	})
 	tel.wireRun(eng, d, backend, smp)
 	if seg != nil {
@@ -340,17 +373,17 @@ func Profile(opts Options) (*Report, error) {
 		ps.wire(func() int { return seg.Advance(onClose) })
 	}
 	setup.End()
-	run := tel.span("engine-run")
-	stats, err := prog.Run(eng)
-	run.End()
+	span := tel.span("engine-run")
+	stats, err := run(eng)
+	span.End()
 	if err != nil {
 		return nil, err
 	}
-	rep, tree, err := buildReport(opts.Workload, opts.Threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
+	rep, tree, err := buildReport(name, threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
 	if err != nil {
 		return nil, err
 	}
-	attachAccuracy(rep, d, opts, opts.Threads, backend, tel)
+	attachAccuracy(rep, d, opts, threads, backend, tel)
 	rep.SampleFraction = sampleFraction
 	if seg != nil {
 		seg.Flush(ps.onClose())

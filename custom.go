@@ -68,7 +68,9 @@ func buildTable(regions []Region) (*trace.Table, error) {
 
 // ProfileTrace runs the profiler offline over a recorded access trace.
 func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options) (*Report, error) {
-	opts.setDefaults()
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
 	if threads <= 0 {
 		return nil, fmt.Errorf("commprof: threads must be positive, got %d", threads)
 	}
@@ -194,7 +196,9 @@ func (t *Thread) InRegion(id int32, fn func()) { t.t.InRegion(id, fn) }
 // regions declares the static region table; region IDs passed to
 // Thread.EnterRegion are indexes into it.
 func Run(threads int, regions []Region, body func(*Thread), opts Options) (*Report, error) {
-	opts.setDefaults()
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
 	if threads <= 0 {
 		return nil, fmt.Errorf("commprof: threads must be positive, got %d", threads)
 	}
@@ -202,51 +206,9 @@ func Run(threads int, regions []Region, body func(*Thread), opts Options) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	tel := opts.Telemetry
-	probes := tel.probes()
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
+	return runSimulated("custom", opts, threads, table, opts.Telemetry, nil, func(eng *exec.Engine) (exec.Stats, error) {
+		return eng.Run(func(et *exec.Thread) { body(&Thread{t: et}) })
 	})
-	if err != nil {
-		return nil, err
-	}
-	dopts := detect.Options{
-		Threads: threads, Backend: backend, Table: table,
-		GranularityBits: opts.GranularityBits,
-		Probes:          probes.DetectProbes(),
-	}
-	if !opts.Parallel {
-		// Same contract as Profile: the single-consumer cache and accuracy
-		// monitor need the deterministic scheduler's serialized probe.
-		dopts.RedundancyCacheBits = opts.RedundancyCacheBits
-		dopts.Accuracy, err = newAccuracyMonitor(opts, threads, probes)
-		if err != nil {
-			return nil, err
-		}
-	}
-	d, err := detect.New(dopts)
-	if err != nil {
-		return nil, err
-	}
-	eng := exec.New(exec.Options{
-		Threads: threads, Probe: d.Probe(), Parallel: opts.Parallel,
-		Probes: probes.EngineProbes(),
-	})
-	tel.wireRun(eng, d, backend, nil)
-	run := tel.span("engine-run")
-	stats, err := eng.Run(func(et *exec.Thread) { body(&Thread{t: et}) })
-	run.End()
-	if err != nil {
-		return nil, err
-	}
-	rep, tree, err := buildReport("custom", threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
-	if err != nil {
-		return nil, err
-	}
-	attachAccuracy(rep, d, opts, threads, backend, tel)
-	tel.finishRun(rep, tree)
-	return rep, nil
 }
 
 // newSeededRand isolates math/rand construction so the facade has a single

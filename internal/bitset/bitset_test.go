@@ -2,7 +2,6 @@ package bitset
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -43,15 +42,6 @@ func TestSetOutOfRangePanics(t *testing.T) {
 	New(10).Set(10)
 }
 
-func TestAtomicOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range index")
-		}
-	}()
-	NewAtomic(10).Test(10)
-}
-
 func TestSetMatchesMapModel(t *testing.T) {
 	// Property: a Set behaves exactly like a map[uint64]bool model under a
 	// random operation sequence.
@@ -82,51 +72,6 @@ func TestSetMatchesMapModel(t *testing.T) {
 	}
 }
 
-func TestAtomicSetReturnsOld(t *testing.T) {
-	a := NewAtomic(64)
-	if a.Set(5) {
-		t.Fatal("first Set reported bit already present")
-	}
-	if !a.Set(5) {
-		t.Fatal("second Set did not report bit present")
-	}
-	if !a.Test(5) || a.Test(6) {
-		t.Fatal("Test mismatch")
-	}
-}
-
-func TestAtomicConcurrentSet(t *testing.T) {
-	// Many goroutines setting overlapping ranges: every bit must end up set,
-	// and for each bit exactly one setter must observe old=false.
-	const bitsN = 4096
-	const workers = 8
-	a := NewAtomic(bitsN)
-	firsts := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := uint64(0); i < bitsN; i++ {
-				if !a.Set(i) {
-					firsts[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if a.Count() != bitsN {
-		t.Fatalf("Count = %d, want %d", a.Count(), bitsN)
-	}
-	total := 0
-	for _, f := range firsts {
-		total += f
-	}
-	if total != bitsN {
-		t.Fatalf("exactly one first-setter per bit required: got %d for %d bits", total, bitsN)
-	}
-}
-
 func TestSizeBytes(t *testing.T) {
 	if got := New(1).SizeBytes(); got != 8 {
 		t.Errorf("1-bit set SizeBytes = %d, want 8", got)
@@ -137,18 +82,4 @@ func TestSizeBytes(t *testing.T) {
 	if got := New(65).SizeBytes(); got != 16 {
 		t.Errorf("65-bit set SizeBytes = %d, want 16", got)
 	}
-	if got := NewAtomic(1024).SizeBytes(); got != 128 {
-		t.Errorf("atomic 1024-bit SizeBytes = %d, want 128", got)
-	}
-}
-
-func BenchmarkAtomicSet(b *testing.B) {
-	a := NewAtomic(1 << 16)
-	b.RunParallel(func(pb *testing.PB) {
-		i := uint64(rand.Int63())
-		for pb.Next() {
-			a.Set(i % (1 << 16))
-			i += 0x9e3779b9
-		}
-	})
 }

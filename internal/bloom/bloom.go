@@ -8,12 +8,18 @@
 // rate requested by the user, so that the FP rate of the *filter itself*
 // never exceeds the configured threshold (the overall signature FP rate is
 // instead dominated by first-level slot collisions, measured in §V-A3).
+//
+// A filter is not an object here but a record: Layout.Words() consecutive
+// uint64 words that the caller owns (internal/sig keeps every slot's record
+// in one arena). The zero record is the empty filter, and clearing a record
+// resets it. Records have a single owner; nothing here is safe for
+// concurrent use.
 package bloom
 
 import (
 	"math"
+	"math/bits"
 
-	"commprof/internal/bitset"
 	"commprof/internal/murmur"
 )
 
@@ -64,82 +70,70 @@ func BitsPerFilter(threads int, fpRate float64) float64 {
 	return -float64(threads) * math.Log(fpRate) / (math.Ln2 * math.Ln2)
 }
 
-// Filter is a lock-free bloom filter over uint64 elements (thread IDs in the
-// read signature). The zero value is not usable; construct with New.
-type Filter struct {
-	bits *bitset.Atomic
-	k    int
-	seed uint64
+// Layout is a geometry prepared for probing filter records.
+type Layout struct {
+	Params
+	words int
+	// recip is floor((2^64-1)/m), the Barrett reciprocal that turns each
+	// probe's 64-bit modulus into a multiply and at most one subtraction.
+	recip uint64
 }
 
-// New constructs a filter with the given geometry. seed differentiates hash
-// families between independent filters when required.
-func New(p Params, seed uint64) *Filter {
-	return &Filter{bits: bitset.NewAtomic(p.Bits), k: p.Hashes, seed: seed}
+// NewLayout prepares p for probing records. p.Bits must be at least 2.
+func NewLayout(p Params) Layout {
+	return Layout{Params: p, words: int((p.Bits + 63) / 64), recip: ^uint64(0) / p.Bits}
 }
 
-// NewForThreads constructs a filter sized for up to threads distinct elements
-// at the given false-positive rate, mirroring the paper's automatic sizing.
-func NewForThreads(threads int, fpRate float64, seed uint64) *Filter {
-	return New(Derive(uint64(threads), fpRate), seed)
-}
+// Words returns the record length in 64-bit words.
+func (l Layout) Words() int { return l.words }
 
-// Add inserts element v, returning true if the filter may have already
-// contained it (i.e. every probed bit was already set).
-func (f *Filter) Add(v uint64) (present bool) {
-	h1, h2 := murmur.HashAddrPair(v, f.seed)
-	present = true
-	m := f.bits.Len()
-	for i := 0; i < f.k; i++ {
-		// Kirsch–Mitzenmacher double hashing: g_i = h1 + i·h2.
-		pos := (h1 + uint64(i)*h2) % m
-		if !f.bits.Set(pos) {
-			present = false
-		}
+// mod returns x % m exactly. recip ≥ (2^64−m)/m, so x·recip/2^64 >
+// x/m − 1: the estimate q = ⌊x·recip/2^64⌋ is ⌊x/m⌋ or one less, and one
+// conditional subtraction finishes.
+func (l *Layout) mod(x uint64) uint64 {
+	q, _ := bits.Mul64(x, l.recip)
+	r := x - q*l.Bits
+	if r >= l.Bits {
+		r -= l.Bits
 	}
-	return present
+	return r
 }
 
-// Contains reports whether v may be in the set. False positives are possible
-// at the configured rate; false negatives are not.
-func (f *Filter) Contains(v uint64) bool {
-	h1, h2 := murmur.HashAddrPair(v, f.seed)
-	m := f.bits.Len()
-	for i := 0; i < f.k; i++ {
-		if !f.bits.Test((h1 + uint64(i)*h2) % m) {
-			return false
-		}
+// Add inserts element v into the filter record rec, whose hash family seed
+// selects, and reports whether every probed bit was already set (v may have
+// been present). The k probe positions are Kirsch–Mitzenmacher double
+// hashing, g_i = (h1 + i·h2) mod m over MurmurHash3's two halves.
+func (l *Layout) Add(rec []uint64, seed, v uint64) (present bool) {
+	rec = rec[:l.words]
+	g, step := murmur.HashAddrPair(v, seed)
+	var missing uint64
+	for i := 0; i < l.Hashes; i++ {
+		pos := l.mod(g)
+		bit := uint64(1) << (pos & 63)
+		missing |= ^rec[pos>>6] & bit
+		rec[pos>>6] |= bit
+		g += step
 	}
-	return true
+	return missing == 0
 }
 
-// Reset clears the filter. Used by Algorithm 1 when a write invalidates the
-// reader set recorded for a signature slot.
-func (f *Filter) Reset() { f.bits.Reset() }
-
-// Bits returns the filter's bit-vector length m.
-func (f *Filter) Bits() uint64 { return f.bits.Len() }
-
-// Hashes returns the number of probe positions k.
-func (f *Filter) Hashes() int { return f.k }
-
-// PopCount returns the number of set bits (diagnostic; approximate cardinality
-// can be derived from it).
-func (f *Filter) PopCount() uint64 { return f.bits.Count() }
+// PopCount returns the number of set bits in a record.
+func PopCount(rec []uint64) uint64 {
+	var c int
+	for _, w := range rec {
+		c += bits.OnesCount64(w)
+	}
+	return uint64(c)
+}
 
 // EstimateCardinality returns the standard bloom-filter cardinality estimate
+// for a record with popcount x,
 //
-//	n* = -(m/k)·ln(1 - X/m)
-//
-// where X is the popcount. Useful for the diagnostics in cmd/commprof.
-func (f *Filter) EstimateCardinality() float64 {
-	m := float64(f.bits.Len())
-	x := float64(f.bits.Count())
-	if x >= m {
+//	n* = -(m/k)·ln(1 - x/m).
+func (l *Layout) EstimateCardinality(x uint64) float64 {
+	m := float64(l.Bits)
+	if float64(x) >= m {
 		return math.Inf(1)
 	}
-	return -(m / float64(f.k)) * math.Log(1-x/m)
+	return -(m / float64(l.Hashes)) * math.Log(1-float64(x)/m)
 }
-
-// SizeBytes returns the heap footprint of the filter's bit storage.
-func (f *Filter) SizeBytes() uint64 { return f.bits.SizeBytes() }

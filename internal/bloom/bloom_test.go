@@ -2,7 +2,8 @@ package bloom
 
 import (
 	"math"
-	"sync"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -50,9 +51,27 @@ func TestBitsPerFilterEq2Term(t *testing.T) {
 	}
 }
 
+// filter is a test-local owner of one record: the shape internal/sig gives
+// each read-signature slot.
+type filter struct {
+	l    Layout
+	rec  []uint64
+	seed uint64
+}
+
+func newFilter(threads int, fpRate float64, seed uint64) *filter {
+	l := NewLayout(Derive(uint64(threads), fpRate))
+	return &filter{l: l, rec: make([]uint64, l.Words()), seed: seed}
+}
+
+func (f *filter) Add(v uint64) bool { return f.l.Add(f.rec, f.seed, v) }
+
+// Contains is membership without insertion: Add on a copy of the record.
+func (f *filter) Contains(v uint64) bool { return f.l.Add(slices.Clone(f.rec), f.seed, v) }
+
 func TestNoFalseNegatives(t *testing.T) {
 	f := func(elems []uint64) bool {
-		fl := NewForThreads(64, 0.01, 1)
+		fl := newFilter(64, 0.01, 1)
 		for _, e := range elems {
 			fl.Add(e % 64)
 		}
@@ -69,7 +88,7 @@ func TestNoFalseNegatives(t *testing.T) {
 }
 
 func TestEmptyFilterContainsNothing(t *testing.T) {
-	fl := NewForThreads(32, 0.001, 0)
+	fl := newFilter(32, 0.001, 0)
 	for v := uint64(0); v < 1000; v++ {
 		if fl.Contains(v) {
 			t.Fatalf("empty filter claims to contain %d", v)
@@ -83,7 +102,7 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 	// asymptotic, so allow slack).
 	const capacity = 32
 	const target = 0.01
-	fl := NewForThreads(capacity, target, 12345)
+	fl := newFilter(capacity, target, 12345)
 	for v := uint64(0); v < capacity; v++ {
 		fl.Add(v)
 	}
@@ -101,7 +120,7 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 }
 
 func TestAddReportsPresence(t *testing.T) {
-	fl := NewForThreads(32, 0.001, 9)
+	fl := newFilter(32, 0.001, 9)
 	if fl.Add(7) {
 		t.Fatal("first Add reported element present")
 	}
@@ -111,75 +130,82 @@ func TestAddReportsPresence(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	fl := NewForThreads(32, 0.001, 3)
+	// Clearing a record is the reset Algorithm 1 applies when a write
+	// invalidates a slot's reader set.
+	fl := newFilter(32, 0.001, 3)
 	for v := uint64(0); v < 32; v++ {
 		fl.Add(v)
 	}
-	fl.Reset()
-	if fl.PopCount() != 0 {
-		t.Fatalf("PopCount after Reset = %d", fl.PopCount())
+	clear(fl.rec)
+	if PopCount(fl.rec) != 0 {
+		t.Fatalf("PopCount after clear = %d", PopCount(fl.rec))
 	}
 	for v := uint64(0); v < 32; v++ {
 		if fl.Contains(v) {
-			t.Fatalf("element %d survived Reset", v)
+			t.Fatalf("element %d survived clear", v)
 		}
 	}
 }
 
 func TestEstimateCardinality(t *testing.T) {
-	fl := NewForThreads(256, 0.01, 5)
+	fl := newFilter(256, 0.01, 5)
 	const n = 100
 	for v := uint64(0); v < n; v++ {
 		fl.Add(v)
 	}
-	est := fl.EstimateCardinality()
+	est := fl.l.EstimateCardinality(PopCount(fl.rec))
 	if est < n*0.7 || est > n*1.3 {
 		t.Fatalf("cardinality estimate %v for %d inserted elements", est, n)
 	}
 }
 
-func TestConcurrentAddNoFalseNegatives(t *testing.T) {
-	fl := NewForThreads(1024, 0.01, 17)
-	var wg sync.WaitGroup
-	const workers = 8
-	const per = 128
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				fl.Add(uint64(w*per + i))
-			}
-		}(w)
+func TestSizeBytesMatchesGeometry(t *testing.T) {
+	for _, c := range []struct {
+		bits  uint64
+		words int
+	}{{512, 8}, {461, 8}, {8, 1}, {65, 2}} {
+		l := NewLayout(Params{Bits: c.bits, Hashes: 4})
+		if l.Words() != c.words {
+			t.Errorf("Words(%d bits) = %d, want %d", c.bits, l.Words(), c.words)
+		}
 	}
-	wg.Wait()
-	for v := uint64(0); v < workers*per; v++ {
-		if !fl.Contains(v) {
-			t.Fatalf("lost element %d under concurrent insertion", v)
+	if p := Derive(32, 0.001); NewLayout(p).Words()*8 != 64 {
+		t.Fatalf("the 32-thread paper filter (%d bits) is not one 64-byte record", p.Bits)
+	}
+}
+
+// TestModMatchesRemainder pins the Barrett modulus to Go's % over every
+// geometry Derive produces for 1..256 threads and the paper's FP rates, on
+// random and boundary inputs: probe positions must never move.
+func TestModMatchesRemainder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	edges := []uint64{0, 1, 2, 1<<63 - 1, 1 << 63, ^uint64(0), ^uint64(0) - 1}
+	for threads := uint64(1); threads <= 256; threads++ {
+		for _, fp := range []float64{0.1, 0.01, 0.001, 1e-6} {
+			l := NewLayout(Derive(threads, fp))
+			m := l.Bits
+			xs := append([]uint64{m - 1, m, m + 1, ^uint64(0) / m * m, ^uint64(0)/m*m - 1}, edges...)
+			for i := 0; i < 2000; i++ {
+				xs = append(xs, rng.Uint64())
+			}
+			for _, x := range xs {
+				if got, want := l.mod(x), x%m; got != want {
+					t.Fatalf("m=%d: mod(%d) = %d, want %d", m, x, got, want)
+				}
+			}
 		}
 	}
 }
 
-func TestSizeBytesMatchesGeometry(t *testing.T) {
-	p := Params{Bits: 512, Hashes: 4}
-	fl := New(p, 0)
-	if fl.SizeBytes() != 64 {
-		t.Fatalf("SizeBytes = %d, want 64", fl.SizeBytes())
-	}
-	if fl.Bits() != 512 || fl.Hashes() != 4 {
-		t.Fatalf("geometry accessors mismatch: %d/%d", fl.Bits(), fl.Hashes())
-	}
-}
-
 func BenchmarkAdd(b *testing.B) {
-	fl := NewForThreads(32, 0.001, 0)
+	fl := newFilter(32, 0.001, 0)
 	for i := 0; i < b.N; i++ {
 		fl.Add(uint64(i) & 31)
 	}
 }
 
 func BenchmarkContains(b *testing.B) {
-	fl := NewForThreads(32, 0.001, 0)
+	fl := newFilter(32, 0.001, 0)
 	for v := uint64(0); v < 32; v++ {
 		fl.Add(v)
 	}

@@ -52,8 +52,8 @@ type Options struct {
 	// Table is the static region table; nil disables per-region attribution.
 	Table *trace.Table
 	// OnEvent, when non-nil, receives every detected dependence (used by
-	// phase segmentation and the FPR experiments). In parallel runs it must
-	// be safe for concurrent use.
+	// phase segmentation and the FPR experiments), on the goroutine that
+	// called Process.
 	OnEvent func(Event)
 	// GranularityBits coarsens the analysis granularity: addresses are
 	// shifted right by this amount before consulting the signature, so 0
@@ -95,7 +95,11 @@ type Options struct {
 }
 
 // Detector consumes accesses in temporal order and accumulates communication
-// matrices. Safe for concurrent use when its backend and OnEvent are.
+// matrices. It has a single owner, like its backend, redundancy cache and
+// accuracy monitor: Process is called from one goroutine at a time (the
+// serial driver, or one sharded-pipeline worker). Its counters are atomic
+// only so Stats and live telemetry can read them from other goroutines
+// while a run is in flight.
 type Detector struct {
 	opts    Options
 	global  *comm.Matrix

@@ -10,9 +10,10 @@
 //     all experiments reproducible.
 //
 //   - Parallel: threads run as free goroutines and the probe is invoked
-//     concurrently, exercising the lock-free signature memory exactly as the
-//     paper describes ("we use the same threads in the program ... without
-//     any need to any extra threads", §IV-D3).
+//     concurrently from them. The paper analyses inside these threads
+//     (§IV-D3); commprof instead has each thread stage its accesses for a
+//     single-owner analyser, and Options.Sync tells it where a thread's
+//     accesses must reach the analyser before another thread's.
 //
 // The engine substitutes for native pthread execution of the paper's testbed;
 // communication-matrix shape depends only on which threads touch which
@@ -40,6 +41,14 @@ type Options struct {
 	Quantum  int   // deterministic mode: accesses per scheduling turn; default 64
 	Parallel bool  // run threads as free goroutines instead of round-robin
 	Probe    Probe // may be nil (uninstrumented "native" run)
+	// Sync, when non-nil, is called in parallel mode on a thread's own
+	// goroutine wherever its earlier accesses become ordered before other
+	// threads' later ones: before a barrier wait, before a lock release and
+	// when the body returns. A probe that stages accesses per thread
+	// flushes there, so accesses ordered by synchronisation reach the
+	// analyser in that order. The deterministic scheduler serialises every
+	// probe call and never calls Sync.
+	Sync func(thread int32)
 	// Probes, when non-nil, receives scheduler telemetry (quantum switches,
 	// barrier/lock wait episodes). Nil keeps the uninstrumented path
 	// allocation-free at the cost of one nil check per hook site.
@@ -239,6 +248,9 @@ func (e *Engine) runParallel(body func(t *Thread)) (Stats, error) {
 				}
 			}()
 			body(t)
+			if flush := e.opts.Sync; flush != nil {
+				flush(t.id)
+			}
 		}()
 	}
 	wg.Wait()

@@ -304,6 +304,67 @@ func TestParallelLocks(t *testing.T) {
 	}
 }
 
+// TestParallelSyncOrdersStagedAccesses pins the Sync contract a per-thread
+// staging consumer relies on: each thread's accesses staged before a barrier
+// or a lock release are handed over (Sync) before any other thread can pass
+// that synchronisation, and the rest when the body returns. The consumer
+// below stages privately and appends to one log only in Sync, so every
+// pre-barrier write must precede every post-barrier read in the log, and
+// every critical section's accesses must form one contiguous run.
+func TestParallelSyncOrdersStagedAccesses(t *testing.T) {
+	const threads = 6
+	staged := make([][]trace.Access, threads)
+	var mu sync.Mutex
+	var log []trace.Access
+	e := New(Options{
+		Threads: threads, Parallel: true,
+		Probe: func(a trace.Access) { staged[a.Thread] = append(staged[a.Thread], a) },
+		Sync: func(thread int32) {
+			mu.Lock()
+			log = append(log, staged[thread]...)
+			mu.Unlock()
+			staged[thread] = staged[thread][:0]
+		},
+	})
+	if _, err := e.Run(func(th *Thread) {
+		for i := 0; i < 50; i++ {
+			th.Write(uint64(0x1000+int(th.ID())*1024+i*8), 8)
+		}
+		th.Barrier()
+		for i := 0; i < 50; i++ {
+			th.Read(uint64(0x1000+((int(th.ID())+1)%threads)*1024+i*8), 8)
+		}
+		th.Barrier()
+		for round := 0; round < 5; round++ {
+			th.Acquire(7)
+			for i := 0; i < 4; i++ {
+				th.Write(0x9000, 8)
+			}
+			th.Release(7)
+		}
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := threads * (50 + 50 + 5*4); len(log) != want {
+		t.Fatalf("log holds %d accesses, want %d: Sync missed staged accesses", len(log), want)
+	}
+	reads := 0
+	for i, a := range log[:threads*100] {
+		if a.Kind == trace.Read {
+			reads++
+		} else if reads > 0 {
+			t.Fatalf("log[%d]: pre-barrier write after %d post-barrier reads", i, reads)
+		}
+	}
+	for i := threads * 100; i < len(log); i += 4 {
+		for j := i + 1; j < i+4; j++ {
+			if log[j].Thread != log[i].Thread {
+				t.Fatalf("critical section at log[%d] interleaved with thread %d", i, log[j].Thread)
+			}
+		}
+	}
+}
+
 func TestParallelPanicPropagates(t *testing.T) {
 	e := New(Options{Threads: 4, Parallel: true})
 	_, err := e.Run(func(th *Thread) {

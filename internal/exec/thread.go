@@ -164,6 +164,9 @@ func (t *Thread) Barrier() {
 		p.BarrierWaits.Inc()
 	}
 	if t.parallel {
+		if flush := t.eng.opts.Sync; flush != nil {
+			flush(t.id)
+		}
 		t.eng.parBarrier.wait()
 		return
 	}
@@ -218,6 +221,9 @@ func (t *Thread) Release(lock int) {
 		t.eng.parMu.Unlock()
 		if m == nil {
 			panic(fmt.Sprintf("exec: thread %d released unknown lock %d", t.id, lock))
+		}
+		if flush := t.eng.opts.Sync; flush != nil {
+			flush(t.id)
 		}
 		m.Unlock()
 		return

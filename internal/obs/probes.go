@@ -11,11 +11,9 @@ type SigProbes struct {
 	// FilterAllocs counts second-level bloom filters allocated (slot
 	// occupancy is FilterAllocs relative to the slot count).
 	FilterAllocs *Counter
-	// CASRetries counts lost filter-allocation CAS races in parallel mode:
-	// a thread built a filter but another thread's install won.
-	CASRetries *Counter
 	// ReaderResets counts write-triggered bloom-filter invalidations
-	// (Fig. 2's communicating-access rule clearing the reader set).
+	// (Fig. 2's communicating-access rule clearing the reader set). The
+	// signature adds them in batches when it publishes, not per write.
 	ReaderResets *Counter
 }
 
@@ -183,7 +181,6 @@ func DefaultProbes(r *Registry) *Probes {
 	return &Probes{
 		Sig: &SigProbes{
 			FilterAllocs: r.Counter("sig_filter_allocs_total"),
-			CASRetries:   r.Counter("sig_cas_retries_total"),
 			ReaderResets: r.Counter("sig_reader_resets_total"),
 		},
 		Detect: &DetectProbes{

@@ -349,6 +349,11 @@ func (s *shard) worker(idx, batch int, p *obs.PipelineProbes, wg *sync.WaitGroup
 	pprof.Do(context.Background(), pprof.Labels("shard", strconv.Itoa(idx)), func(context.Context) {
 		s.drainLoop(batch, p)
 	})
+	// The worker owns its signature partition: publish the final state for
+	// live readers before going quiescent.
+	if a, ok := s.backend.(*sig.Asymmetric); ok {
+		a.Publish()
+	}
 }
 
 // drainLoop is the worker body. Timeline spans are busy periods — one span
@@ -1143,8 +1148,9 @@ func (e *Engine) AccuracyEstimate() (accuracy.Estimate, bool) {
 }
 
 // EvaluateAccuracy runs the engine's warn-once saturation alarm against the
-// merged estimate and the given production fill ratio (use FillRatio). A
-// no-op without monitors; safe from any goroutine.
+// merged estimate and the given production fill ratio (LiveFillRatio while
+// the run is in flight, FillRatio after Close). A no-op without monitors;
+// safe from any goroutine.
 func (e *Engine) EvaluateAccuracy(fillRatio float64) {
 	if est, ok := e.AccuracyEstimate(); ok {
 		e.accAlarm.Evaluate(est, fillRatio)
@@ -1164,16 +1170,27 @@ func (e *Engine) AccuracyShadowBytes() uint64 {
 	return total
 }
 
-// FillRatio estimates the mean bloom fill ratio across shard signature
-// partitions that expose one (sig.Asymmetric does; exact backends return 0,
-// as does an engine with no sampling backends). sample bounds the per-shard
-// probe cost exactly as in Asymmetric.FillRatio.
+// FillRatio estimates the mean bloom fill ratio across the shard partitions
+// that are asymmetric signatures (exact backends have no filters; with none,
+// it returns 0). sample bounds the per-shard probe cost exactly as in
+// Asymmetric.FillRatio. It reads the partitions themselves, so call it only
+// after Close; LiveFillRatio serves readers while the run is in flight.
 func (e *Engine) FillRatio(sample int) float64 {
+	return e.meanFill(func(a *sig.Asymmetric) float64 { return a.FillRatio(sample) })
+}
+
+// LiveFillRatio is the mean of the fill ratios the shard workers last
+// published (Asymmetric.LiveFillRatio). Safe from any goroutine.
+func (e *Engine) LiveFillRatio() float64 {
+	return e.meanFill((*sig.Asymmetric).LiveFillRatio)
+}
+
+func (e *Engine) meanFill(fill func(*sig.Asymmetric) float64) float64 {
 	var sum float64
 	n := 0
 	for _, s := range e.shards {
-		if f, ok := s.backend.(interface{ FillRatio(int) float64 }); ok {
-			sum += f.FillRatio(sample)
+		if a, ok := s.backend.(*sig.Asymmetric); ok {
+			sum += fill(a)
 			n++
 		}
 	}

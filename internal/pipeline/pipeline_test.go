@@ -325,3 +325,33 @@ func (s *slowBackend) burn() {
 func (s *slowBackend) FootprintBytes() uint64 { return s.inner.FootprintBytes() }
 func (s *slowBackend) Reset()                 { s.inner.Reset() }
 func (s *slowBackend) Name() string           { return "slow-" + s.inner.Name() }
+
+// TestWorkersPublishFinalFill pins the single-owner telemetry hand-off: each
+// shard worker owns its signature partition and publishes its final state as
+// it exits, so after Close the live (published) fill equals the exact one,
+// and the batched reader resets have reached the probe counter.
+func TestWorkersPublishFinalFill(t *testing.T) {
+	const threads = 4
+	reg := obs.NewRegistry()
+	probes := obs.DefaultProbes(reg).SigProbes()
+	e, err := New(Options{
+		Shards: 3, Threads: threads,
+		NewBackend: AsymmetricFactory(1<<12, 3, threads, 0.001, probes),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ProcessStream(synthetic(threads, 10, 200))
+	e.Close()
+	exact := e.FillRatio(256)
+	if exact == 0 {
+		t.Fatal("no filters filled")
+	}
+	if live := e.LiveFillRatio(); live != exact {
+		t.Fatalf("LiveFillRatio after Close = %v, exact FillRatio(256) = %v", live, exact)
+	}
+	// Every write after the first round resets a filter some reader filled.
+	if probes.ReaderResets.Value() == 0 {
+		t.Fatal("reader resets never published")
+	}
+}

@@ -1,15 +1,15 @@
 // Package redundancy implements the detection hot loop's fast path: a small
 // per-consumer direct-mapped cache that filters provably redundant accesses
-// before they reach the shared signature memory.
+// before they reach the signature memory.
 //
 // The motivation is the overwhelmingly common case in real access streams: a
 // thread re-touching an address it just touched. Without filtering, every such
 // access pays the full backend cost in sig.Asymmetric — a 128-bit MurmurHash
-// pass, an atomic write-slot load and an atomic bloom-filter Add — only for
+// pass, a write-slot load and a k-probe bloom-filter Add — only for
 // detect.Process to discard it as a non-event. PROMPT (arXiv 2311.03263) and
 // Coppa et al.'s multithreaded input-sensitive profiler (arXiv 1304.3804) both
 // show that filtering redundant accesses in a small private cache before the
-// shared profiling structure is the single biggest lever on profiler slowdown.
+// main profiling structure is the single biggest lever on profiler slowdown.
 //
 // The cache records, per granularity-shifted address (granule), the last
 // (thread, kind) to touch it. Three access shapes are skipped, each a provable
@@ -56,10 +56,11 @@ import (
 	"sync/atomic"
 )
 
-// MaxBits bounds the cache size at 2^30 entries (16 GiB of tags+meta is far
-// past any sensible configuration; the sweet spot is a cache that fits in L1/L2,
-// i.e. 10–16 bits).
-const MaxBits = 30
+// MaxBits bounds the cache at 2^20 entries: 12 MiB of tags and metadata
+// (12 bytes per entry) per cache, and every serial run or pipeline shard
+// owns one. The sweet spot is a cache that fits in L1/L2, i.e. 10–14 bits;
+// past that the cache itself misses to memory and only costs footprint.
+const MaxBits = 20
 
 // maxThread is the largest thread ID the packed metadata word can hold.
 const maxThread = 1<<30 - 1

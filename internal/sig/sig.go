@@ -19,6 +19,10 @@
 // Collisions (h(v1)==h(v2), v1!=v2) produce dependencies that do not exist —
 // false positives — at a rate controlled by the slot count, which is the
 // trade-off the paper quantifies. Total memory is fixed and given by Eq. 2.
+//
+// Unlike the paper's lock-free signature, every signature here has a single
+// owner, so the layout is plain and pointer-free: an []int32 write array, a
+// []uint32 filter index and a paged arena of filter records (DESIGN.md).
 package sig
 
 import (
@@ -35,8 +39,11 @@ import (
 const NoWriter int32 = -1
 
 // Backend is the conflict store consulted by the RAW detector (Algorithm 1).
-// Implementations must be safe for concurrent use: the analysis runs inside
-// the target program's own threads.
+// A backend has a single owner: ObserveRead, ObserveWrite and Reset are
+// called from one goroutine at a time (the serial analyser's driver, or one
+// sharded-pipeline worker), in the temporal order of the accesses. Only
+// FootprintBytes may be called from other goroutines while a run is in
+// flight.
 type Backend interface {
 	// ObserveRead processes a read of addr by thread tid. It returns the
 	// last recorded writer of addr (NoWriter on a write-signature miss) and
@@ -76,9 +83,9 @@ type Options struct {
 	// §IV-D2); HashFold is a deliberately weaker xor-fold kept for the
 	// hash-quality ablation experiment.
 	Hash HashKind
-	// Probes, when non-nil, receives self-observability telemetry (filter
-	// allocations, CAS retries, reader resets). Nil keeps the hot path
-	// uninstrumented at the cost of one nil check per hook site.
+	// Probes, when non-nil, receives self-observability telemetry: filter
+	// allocations as they happen, reader resets in batches at the publish
+	// cadence (see Asymmetric.Publish).
 	Probes *obs.SigProbes
 }
 
@@ -93,9 +100,21 @@ const (
 	HashFold
 )
 
+// MaxSlots is the largest slot count the uint32 filter index can address:
+// index 0 means "no filter", so filters are numbered 1..Slots.
+const MaxSlots = 1<<32 - 1
+
+// SlotsError reports a slot count outside [1, MaxSlots]. NewAsymmetric
+// returns it before allocating anything.
+type SlotsError struct{ Slots uint64 }
+
+func (e *SlotsError) Error() string {
+	return fmt.Sprintf("sig: Slots must be in [1, %d], got %d", uint64(MaxSlots), e.Slots)
+}
+
 func (o *Options) setDefaults() error {
-	if o.Slots == 0 {
-		return fmt.Errorf("sig: Slots must be positive")
+	if o.Slots == 0 || o.Slots > MaxSlots {
+		return &SlotsError{Slots: o.Slots}
 	}
 	if o.Threads <= 0 {
 		return fmt.Errorf("sig: Threads must be positive, got %d", o.Threads)
@@ -112,31 +131,56 @@ func (o *Options) setDefaults() error {
 	return nil
 }
 
-// Asymmetric is the paper's asymmetric signature memory. All operations are
-// lock-free: slot values use atomics and bloom filters use an atomic bitset,
-// mirroring the paper's C++11 lock-free primitives.
+const (
+	// The arena holds 2^pageShift records per page, so it grows without
+	// copying and a record never moves.
+	pageShift = 12
+	pageMask  = 1<<pageShift - 1
+	// Every publishEvery operations the owner publishes a fill ratio over
+	// publishSample filters: well under a nanosecond per operation.
+	publishEvery  = 1 << 16
+	publishSample = 256
+)
+
+// Asymmetric is the paper's asymmetric signature memory. It has a single
+// owner (see Backend); only AllocatedFilters, Occupancy, FootprintBytes and
+// LiveFillRatio may be called from other goroutines during a run.
 type Asymmetric struct {
-	opts   Options
-	bloomP bloom.Params
+	opts  Options
+	bloom bloom.Layout
+	words uint64 // record length in words
 
-	// write signature: slot -> last writer tid (+1, so 0 means empty).
-	write []atomic.Int32
-	// read signature level 1: slot -> *bloom.Filter (nil until first use).
-	read []atomic.Pointer[bloom.Filter]
+	// write signature: slot -> last writer tid + 1, so 0 means empty.
+	write []int32
+	// read signature level 1: slot -> filter index into the arena, 1-based,
+	// so 0 means no filter yet.
+	read []uint32
+	// pages is the filter arena: record i (0-based) is the words-long run at
+	// offset (i&pageMask)*words of pages[i>>pageShift].
+	pages [][]uint64
 
-	allocated atomic.Uint64 // number of live second-level filters
+	ops    uint64 // operations, for the publish cadence
+	resets uint64 // reader resets not yet published to Probes
+
+	// For live readers: allocated (the record count) changes only when a
+	// filter is allocated; fill holds the bits of the published FillRatio.
+	allocated atomic.Uint64
+	fill      atomic.Uint64
 }
 
-// NewAsymmetric builds an asymmetric signature memory.
+// NewAsymmetric builds an asymmetric signature memory. It validates every
+// option, including Slots against MaxSlots, before allocating.
 func NewAsymmetric(opts Options) (*Asymmetric, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
+	l := bloom.NewLayout(bloom.Derive(uint64(opts.Threads), opts.FPRate))
 	return &Asymmetric{
-		opts:   opts,
-		bloomP: bloom.Derive(uint64(opts.Threads), opts.FPRate),
-		write:  make([]atomic.Int32, opts.Slots),
-		read:   make([]atomic.Pointer[bloom.Filter], opts.Slots),
+		opts:  opts,
+		bloom: l,
+		words: uint64(l.Words()),
+		write: make([]int32, opts.Slots),
+		read:  make([]uint32, opts.Slots),
 	}, nil
 }
 
@@ -146,17 +190,11 @@ func (s *Asymmetric) Name() string { return "asymmetric-signature" }
 // Options returns the configuration the signature was built with.
 func (s *Asymmetric) Options() Options { return s.opts }
 
-// slots maps addr to its (read, write) slot pair. Every backend operation
-// needs both slots (ObserveRead looks up the writer and records the reader;
-// ObserveWrite invalidates the readers and records the writer), so the murmur
-// path derives them from ONE 128-bit hash pass: the two halves of MurmurHash3
-// x64/128 are designed to be independent, the first half reproduces the
-// historical HashAddr(addr, SeedRead) read mapping exactly, and the second
-// half — folded with SeedWrite through the fmix64 finalizer, so both seed
-// options stay meaningful and the write mapping keeps independent-hash
-// collision statistics — addresses the write array. This halves the
-// per-access hash cost relative to the old two-pass scheme (a finalizer is
-// three shifts and two multiplies, not a hash pass).
+// slots maps addr to its (read, write) slot pair from ONE 128-bit hash
+// pass: the first MurmurHash3 half is the historical HashAddr(addr,
+// SeedRead) read mapping, and the second, folded with SeedWrite through the
+// fmix64 finalizer so the write mapping keeps independent-hash collision
+// statistics, addresses the write array.
 func (s *Asymmetric) slots(addr uint64) (rs, ws uint64) {
 	if s.opts.Hash == HashFold {
 		// Weak fold: mixes poorly, so regular access strides map to
@@ -173,34 +211,48 @@ func foldHash(addr, seed uint64) uint64 {
 	return v ^ (v >> 17) ^ (v << 9)
 }
 
-// filterAt returns the bloom filter for a read slot, allocating it on first
-// use with a lock-free CAS (losing allocators discard their filter).
-func (s *Asymmetric) filterAt(slot uint64) *bloom.Filter {
-	if f := s.read[slot].Load(); f != nil {
-		return f
+// record returns the words of filter idx (1-based).
+func (s *Asymmetric) record(idx uint32) []uint64 {
+	i := uint64(idx - 1)
+	off := (i & pageMask) * s.words
+	return s.pages[i>>pageShift][off : off+s.words : off+s.words]
+}
+
+// filter returns the read slot's filter record, allocating it on first use:
+// a bump of the arena, plus a new page every 2^pageShift records. Each
+// slot's filter hashes with its own seed, SeedRead^slot.
+func (s *Asymmetric) filter(slot uint64) []uint64 {
+	if idx := s.read[slot]; idx != 0 {
+		return s.record(idx)
 	}
-	nf := bloom.New(s.bloomP, s.opts.SeedRead^slot)
-	if s.read[slot].CompareAndSwap(nil, nf) {
-		s.allocated.Add(1)
-		if p := s.opts.Probes; p != nil {
-			p.FilterAllocs.Inc()
-		}
-		return nf
+	n := s.allocated.Load()
+	if n&pageMask == 0 {
+		// Filters never outnumber slots: the last page holds only what the
+		// remaining slots can use.
+		s.pages = append(s.pages, make([]uint64, min(1<<pageShift, s.opts.Slots-n)*s.words))
 	}
+	s.allocated.Store(n + 1)
+	s.read[slot] = uint32(n + 1)
 	if p := s.opts.Probes; p != nil {
-		p.CASRetries.Inc()
+		p.FilterAllocs.Inc()
 	}
-	return s.read[slot].Load()
+	return s.record(uint32(n + 1))
+}
+
+// tick counts one operation and publishes on the cadence.
+func (s *Asymmetric) tick() {
+	s.ops++
+	if s.ops&(publishEvery-1) == 0 {
+		s.Publish()
+	}
 }
 
 // ObserveRead implements Backend. One fused hash pass yields both slots.
 func (s *Asymmetric) ObserveRead(addr uint64, tid int32) (int32, bool) {
 	rs, ws := s.slots(addr)
-	writer := NoWriter
-	if v := s.write[ws].Load(); v != 0 {
-		writer = v - 1
-	}
-	already := s.filterAt(rs).Add(uint64(tid))
+	writer := s.write[ws] - 1 // an empty slot yields NoWriter
+	already := s.bloom.Add(s.filter(rs), s.opts.SeedRead^rs, uint64(tid))
+	s.tick()
 	return writer, !already
 }
 
@@ -210,22 +262,37 @@ func (s *Asymmetric) ObserveWrite(addr uint64, tid int32) {
 	// Clear the correspondent bloom filter in the read signature: the write
 	// produces a new value, so earlier readers must count again (Fig. 2's
 	// communicating-access rule).
-	if f := s.read[rs].Load(); f != nil {
-		f.Reset()
-		if p := s.opts.Probes; p != nil {
-			p.ReaderResets.Inc()
-		}
+	if idx := s.read[rs]; idx != 0 {
+		clear(s.record(idx))
+		s.resets++
 	}
-	s.write[ws].Store(tid + 1)
+	s.write[ws] = tid + 1
+	s.tick()
 }
 
+// Publish refreshes what live readers see: the LiveFillRatio snapshot, and
+// Probes.ReaderResets. The signature publishes every publishEvery
+// operations; its owner calls Publish once more when a run ends.
+func (s *Asymmetric) Publish() {
+	s.fill.Store(math.Float64bits(s.FillRatio(publishSample)))
+	if p := s.opts.Probes; p != nil {
+		p.ReaderResets.Add(s.resets)
+	}
+	s.resets = 0
+}
+
+// LiveFillRatio returns the last published fill ratio. Safe to call from any
+// goroutine while the owner runs.
+func (s *Asymmetric) LiveFillRatio() float64 { return math.Float64frombits(s.fill.Load()) }
+
 // FootprintBytes implements Backend: the live heap held by the two arrays
-// plus every allocated second-level filter.
+// plus every allocated filter record. Each slot costs 4 bytes of write
+// signature (as in Eq. 2) and 4 bytes of filter index; the unused tail of
+// the arena's last page, at most 2^pageShift records, is not counted.
 func (s *Asymmetric) FootprintBytes() uint64 {
-	perFilter := (s.bloomP.Bits + 63) / 64 * 8
-	return s.opts.Slots*4 + // write array (4-byte slots, as in Eq. 2)
-		s.opts.Slots*8 + // read level-1 pointer array
-		s.allocated.Load()*perFilter
+	return s.opts.Slots*4 + // write array
+		s.opts.Slots*4 + // read level-1 index array
+		s.allocated.Load()*s.words*8
 }
 
 // ModelBytes returns Eq. 2's closed-form memory bound for this configuration:
@@ -234,37 +301,34 @@ func (s *Asymmetric) ModelBytes() uint64 {
 	return SigMem(s.opts.Slots, s.opts.Threads, s.opts.FPRate)
 }
 
-// Reset clears both signatures.
+// Reset clears both signatures and releases the arena.
 func (s *Asymmetric) Reset() {
-	for i := range s.write {
-		s.write[i].Store(0)
-	}
-	for i := range s.read {
-		s.read[i].Store(nil)
-	}
+	clear(s.write)
+	clear(s.read)
+	s.pages = nil
 	s.allocated.Store(0)
+	s.Publish()
 }
 
-// AllocatedFilters reports how many second-level bloom filters exist.
+// AllocatedFilters reports how many second-level bloom filters exist. Safe
+// to call from any goroutine.
 func (s *Asymmetric) AllocatedFilters() uint64 { return s.allocated.Load() }
 
 // Occupancy reports the fraction of read-signature slots whose second-level
 // bloom filter has been allocated — the signature saturation a live
 // telemetry consumer watches to see whether the configured slot count is
-// undersized for the workload's working set.
+// undersized for the workload's working set. Safe to call from any
+// goroutine.
 func (s *Asymmetric) Occupancy() float64 {
 	return float64(s.allocated.Load()) / float64(s.opts.Slots)
 }
 
 // FillRatio probes up to sample slots spread at a fixed stride across the
-// WHOLE slot range and returns the mean set-bit fraction of the allocated
-// bloom filters it finds — the second-level saturation complement to
-// Occupancy. (An earlier version scanned from slot 0 until it had collected
-// sample filters, so whenever more than sample filters were live the estimate
-// was computed exclusively from the lowest slots — a biased sample, since
-// address-hash locality makes slot position correlate with allocation age and
-// workload structure.) Returns 0 when no probed slot holds a filter. Safe to
-// call concurrently with a run; the result is a racy estimate.
+// WHOLE slot range (not the lowest slots, which address-hash locality
+// biases) and returns the mean set-bit fraction of the allocated bloom
+// filters it finds — the second-level saturation complement to Occupancy;
+// 0 when no probed slot holds a filter. It reads the arena, so only the
+// owner may call it; other goroutines use LiveFillRatio.
 func (s *Asymmetric) FillRatio(sample int) float64 {
 	if sample <= 0 {
 		sample = 64
@@ -277,11 +341,11 @@ func (s *Asymmetric) FillRatio(sample int) float64 {
 	var sum float64
 	seen := 0
 	for slot := 0; slot < n && seen < sample; slot += stride {
-		f := s.read[slot].Load()
-		if f == nil {
+		idx := s.read[slot]
+		if idx == 0 {
 			continue
 		}
-		sum += float64(f.PopCount()) / float64(f.Bits())
+		sum += float64(bloom.PopCount(s.record(idx))) / float64(s.bloom.Bits)
 		seen++
 	}
 	if seen == 0 {

@@ -1,14 +1,16 @@
 package sig
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"testing/quick"
 
 	"commprof/internal/bloom"
 	"commprof/internal/murmur"
-	"sync"
-	"testing"
-	"testing/quick"
 )
 
 func newTestSig(t *testing.T, slots uint64) *Asymmetric {
@@ -194,11 +196,12 @@ func TestFootprintBoundedByModel(t *testing.T) {
 		}
 	}
 	foot := s.FootprintBytes()
-	// Upper bound from the actual geometry: both arrays plus every slot's
-	// filter rounded up to whole 64-bit words (Eq. 2 models the unrounded
-	// bit count, so it sits slightly below this rounded-up bound).
+	// Upper bound from the actual geometry: the 4-byte write slot and the
+	// 4-byte filter index per slot, plus every slot's filter rounded up to
+	// whole 64-bit words (Eq. 2 models the unrounded bit count, so it sits
+	// slightly below this rounded-up bound).
 	perFilter := (bloom.Derive(32, 0.001).Bits + 63) / 64 * 8
-	bound := uint64(1<<14)*(4+8) + uint64(1<<14)*perFilter
+	bound := uint64(1<<14)*(4+4) + uint64(1<<14)*perFilter
 	if foot > bound {
 		t.Fatalf("footprint %d exceeds geometry bound %d", foot, bound)
 	}
@@ -238,28 +241,6 @@ func TestPerfectFootprintGrows(t *testing.T) {
 	if p.Entries() != 1000 {
 		t.Fatalf("Entries = %d, want 1000", p.Entries())
 	}
-}
-
-func TestConcurrentObserveNoRace(t *testing.T) {
-	// Lock-freedom smoke test: hammer one signature from many goroutines.
-	// Run with -race to validate the atomic design.
-	s := newTestSig(t, 1<<12)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				addr := uint64((w*5000 + i) % 997 * 8)
-				if i%3 == 0 {
-					s.ObserveWrite(addr, int32(w))
-				} else {
-					s.ObserveRead(addr, int32(w))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 func TestBackendInterfaceCompliance(t *testing.T) {
@@ -302,21 +283,22 @@ func TestFillRatioSamplesWholeSlotRange(t *testing.T) {
 	// heavily-filled ones in the high half; a stride over the whole range
 	// must see both populations.
 	s := newTestSig(t, 1024)
+	add := func(slot, tid uint64) { s.bloom.Add(s.filter(slot), s.opts.SeedRead^slot, tid) }
+	fill := func(slot uint64) float64 { return float64(bloom.PopCount(s.filter(slot))) / float64(s.bloom.Bits) }
 	for slot := uint64(0); slot < 256; slot++ {
-		s.filterAt(slot).Add(0) // one bit: fill ≈ 1/filterBits
+		add(slot, 0) // one element: fill ≈ k/filterBits
 	}
 	for slot := uint64(512); slot < 768; slot++ {
-		f := s.filterAt(slot)
 		for tid := uint64(0); tid < 32; tid++ {
-			f.Add(tid) // saturated for the configured thread count
+			add(slot, tid) // saturated for the configured thread count
 		}
 	}
-	lowOnly := float64(s.filterAt(0).PopCount()) / float64(s.filterAt(0).Bits())
+	lowOnly := fill(0)
 	got := s.FillRatio(64)
 	if got <= 2*lowOnly {
 		t.Fatalf("FillRatio(64) = %v, indistinguishable from the low-slot population %v: high slots not sampled", got, lowOnly)
 	}
-	high := float64(s.filterAt(512).PopCount()) / float64(s.filterAt(512).Bits())
+	high := fill(512)
 	if want := (lowOnly + high) / 2; got < want/2 || got > want*2 {
 		t.Errorf("FillRatio(64) = %v, not within 2x of the two-population mean %v", got, want)
 	}
@@ -329,8 +311,81 @@ func TestFillRatioNoFilters(t *testing.T) {
 	}
 }
 
+// TestSlotsBeyondIndexRejected pins the uint32 filter-index bound: a slot
+// count the index cannot address must fail with a *SlotsError before the
+// 2^32-element arrays are allocated. The memory limit makes an allocation
+// attempt show up as a GC storm rather than passing silently, and the
+// allocation counter proves nothing large was requested.
+func TestSlotsBeyondIndexRejected(t *testing.T) {
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20))
+	for _, slots := range []uint64{MaxSlots + 1, 1 << 40, math.MaxUint64} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewAsymmetric(Options{Slots: slots, Threads: 32, FPRate: 0.001})
+		runtime.ReadMemStats(&after)
+		var se *SlotsError
+		if !errors.As(err, &se) || se.Slots != slots {
+			t.Fatalf("Slots=%d: err = %v, want *SlotsError", slots, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("Slots=%d: allocated %d bytes before rejecting", slots, grew)
+		}
+	}
+	if _, err := NewAsymmetric(Options{Slots: 0, Threads: 32, FPRate: 0.001}); !errors.As(err, new(*SlotsError)) {
+		t.Fatalf("Slots=0: err = %v, want *SlotsError", err)
+	}
+}
+
+// TestObserveAllocationFree pins the arena's allocation contract: once a
+// page exists, reads, writes and first-touch filter allocations within it
+// make no heap allocation.
+func TestObserveAllocationFree(t *testing.T) {
+	s := newTestSig(t, 1<<16)
+	s.ObserveRead(0, 0) // allocates the first page
+	addr := uint64(0)
+	if allocs := testing.AllocsPerRun(2000, func() {
+		addr += 8
+		s.ObserveWrite(addr, 1)
+		s.ObserveRead(addr, 2)
+		s.ObserveRead(addr, 2)
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per write+2 reads", allocs)
+	}
+	if n := s.AllocatedFilters(); n < 1000 || n >= 1<<pageShift {
+		t.Fatalf("%d filters allocated: the loop must allocate records within one page", n)
+	}
+}
+
+// TestLiveSnapshotPublished pins the owner-published telemetry: nothing is
+// visible to live readers before the first publish, the cadence publishes
+// without help, and an explicit Publish makes the snapshot equal the exact
+// owner-side FillRatio.
+func TestLiveSnapshotPublished(t *testing.T) {
+	s := newTestSig(t, 1<<12)
+	for i := 0; i < 1000; i++ {
+		s.ObserveRead(uint64(i)*8, int32(i%32))
+	}
+	if s.LiveFillRatio() != 0 {
+		t.Fatalf("LiveFillRatio = %v before any publish", s.LiveFillRatio())
+	}
+	if s.AllocatedFilters() == 0 {
+		t.Fatal("AllocatedFilters must track allocations without a publish")
+	}
+	for i := 1000; i < publishEvery; i++ {
+		s.ObserveRead(uint64(i)*8, int32(i%32))
+	}
+	if s.LiveFillRatio() != s.FillRatio(publishSample) {
+		t.Fatalf("cadence publish: live %v, exact %v", s.LiveFillRatio(), s.FillRatio(publishSample))
+	}
+	s.ObserveWrite(8, 1)
+	s.Publish()
+	if s.LiveFillRatio() != s.FillRatio(publishSample) {
+		t.Fatalf("explicit publish: live %v, exact %v", s.LiveFillRatio(), s.FillRatio(publishSample))
+	}
+}
+
 // BenchmarkObserveRead is the miss-heavy hot-loop shape (every access a new
-// address): one fused hash pass, one atomic write-slot load, one bloom Add.
+// address): one fused hash pass, one write-slot load, one bloom Add.
 func BenchmarkObserveRead(b *testing.B) {
 	s, _ := NewAsymmetric(Options{Slots: 1 << 20, Threads: 32, FPRate: 0.001})
 	b.ResetTimer()

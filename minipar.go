@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"commprof/internal/detect"
 	"commprof/internal/exec"
 	"commprof/internal/interp"
 	"commprof/internal/passes"
-	"commprof/internal/sig"
 	"commprof/internal/trace"
 )
 
@@ -38,7 +36,9 @@ type MiniParOutput struct {
 //	  if tid == 0 { out A[0]; }
 //	}
 func ProfileMiniPar(src string, threads int, onlyFuncs []string, opts Options) (*Report, []MiniParOutput, error) {
-	opts.setDefaults()
+	if err := opts.normalize(); err != nil {
+		return nil, nil, err
+	}
 	if threads <= 0 {
 		return nil, nil, fmt.Errorf("commprof: threads must be positive, got %d", threads)
 	}
@@ -59,42 +59,18 @@ func ProfileMiniPar(src string, threads int, onlyFuncs []string, opts Options) (
 	if err != nil {
 		return nil, nil, err
 	}
-	tel := opts.Telemetry
-	probes := tel.probes()
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
+	var stats exec.Stats
+	rep, err := runSimulated("minipar", opts, threads, table, opts.Telemetry, nil, func(eng *exec.Engine) (exec.Stats, error) {
+		var err error
+		stats, err = rt.Run(eng)
+		return stats, err
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := detect.New(detect.Options{
-		Threads: threads, Backend: backend, Table: table,
-		GranularityBits: opts.GranularityBits,
-		Probes:          probes.DetectProbes(),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	eng := exec.New(exec.Options{
-		Threads: threads, Probe: d.Probe(), Parallel: opts.Parallel,
-		Probes: probes.EngineProbes(),
-	})
-	tel.wireRun(eng, d, backend, nil)
-	run := tel.span("engine-run")
-	stats, err := rt.Run(eng)
-	run.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, tree, err := buildReport("minipar", threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !opts.DisableCoalesce {
 		rep.Coalescing = coalescingReport(cs, stats, rt, table)
 	}
-	tel.finishRun(rep, tree)
 	var outs []MiniParOutput
 	for _, o := range rt.Outputs() {
 		outs = append(outs, MiniParOutput{Thread: o.Thread, Value: o.Value})

@@ -1,6 +1,7 @@
 package commprof
 
 import (
+	"os"
 	"reflect"
 	"testing"
 )
@@ -69,5 +70,76 @@ func TestParallelDeterministicTotalInvariance(t *testing.T) {
 			t.Fatalf("trial %d: dependency counts diverged: %d vs %d",
 				trial, par.Dependencies, det.Dependencies)
 		}
+	}
+}
+
+// TestParallelEntryPathsPopulateSingleOwnerLayers pins that a Parallel run
+// of every simulated-thread entry path reaches the single-owner analyser
+// layers: the redundancy cache and the accuracy monitor used to be switched
+// off silently under Parallel, because the threads called one shared
+// detector; now the threads feed per-thread producers and one shard worker
+// owns the detector, so both report. Run it under -race: the producers are
+// the only state the target's goroutines touch.
+func TestParallelEntryPathsPopulateSingleOwnerLayers(t *testing.T) {
+	const threads = 4
+	opts := Options{
+		Parallel:            true,
+		RedundancyCacheBits: 10,
+		AccuracyTargetFPR:   DefaultAccuracyTargetFPR,
+	}
+	regions := []Region{{Name: "main", Parent: -1}, {Name: "ring", Parent: 0, Loop: true}}
+	body := func(th *Thread) {
+		th.InRegion(1, func() {
+			for round := uint64(0); round < 8; round++ {
+				for i := uint64(0); i < 64; i++ {
+					th.Write(0x1000+(uint64(th.ID())*64+i)*8, 8)
+				}
+				th.Barrier()
+				next := (uint64(th.ID()) + 1) % threads
+				for i := uint64(0); i < 64; i++ {
+					th.Read(0x1000+(next*64+i)*8, 8)
+					th.Read(0x1000+(next*64+i)*8, 8) // a redundant re-read
+				}
+				th.Barrier()
+			}
+		})
+	}
+	src, err := os.ReadFile("testdata/stencil.mp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (*Report, error)
+	}{
+		{"Profile", func() (*Report, error) {
+			o := opts
+			o.Workload, o.Threads = "fft", threads
+			return Profile(o)
+		}},
+		{"Run", func() (*Report, error) { return Run(threads, regions, body, opts) }},
+		{"ProfileMiniPar", func() (*Report, error) {
+			rep, _, err := ProfileMiniPar(string(src), threads, nil, opts)
+			return rep, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Dependencies == 0 {
+				t.Fatal("parallel run detected nothing")
+			}
+			if rep.Redundancy == nil || rep.Redundancy.Hits == 0 {
+				t.Errorf("Report.Redundancy = %+v, want a populated cache section", rep.Redundancy)
+			}
+			if rep.Accuracy == nil || rep.Accuracy.SampledAccesses == 0 {
+				t.Errorf("Report.Accuracy = %+v, want a populated monitor section", rep.Accuracy)
+			}
+			if rep.Pipeline == nil || rep.Pipeline.Shards != 1 {
+				t.Errorf("Report.Pipeline = %+v, want the one-shard analyser", rep.Pipeline)
+			}
+		})
 	}
 }

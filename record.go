@@ -23,7 +23,9 @@ import (
 // profiler's signature stays fixed — which is precisely why DiscoPoP
 // analyses online.
 func Record(opts Options, w io.Writer) (*Report, error) {
-	opts.setDefaults()
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
 	size, err := splash.ParseSize(opts.InputSize)
 	if err != nil {
 		return nil, err
@@ -108,7 +110,9 @@ const replayBatchSize = 1024
 // truncated or corrupt access section fails with "record i of n" context
 // after the prefix before it has been analysed.
 func Replay(r io.Reader, threads int, opts Options) (*Report, error) {
-	opts.setDefaults()
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
 	if threads < 0 {
 		return nil, fmt.Errorf("commprof: threads must be non-negative, got %d", threads)
 	}

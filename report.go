@@ -407,19 +407,17 @@ type Report struct {
 	// Options.PhaseWindow.
 	PhaseTimeline *PhaseTimelineReport `json:",omitempty"`
 	// Pipeline describes the sharded analysis engine. Nil unless the run
-	// used Options.AnalysisShards.
+	// used Options.AnalysisShards or Options.Parallel.
 	Pipeline *PipelineReport `json:",omitempty"`
 	// Redundancy describes the redundancy-filtering fast path. Nil unless
-	// the run used Options.RedundancyCacheBits (and, for the serial
-	// analyser, ran under the deterministic scheduler).
+	// the run used Options.RedundancyCacheBits.
 	Redundancy *RedundancyReport `json:",omitempty"`
 	// Coalescing describes the static access-coalescing pass. Nil except on
 	// MiniPar runs with the pass enabled (the default; see
 	// Options.DisableCoalesce).
 	Coalescing *CoalescingReport `json:",omitempty"`
 	// Accuracy is the online signature-accuracy estimate. Nil unless the run
-	// used Options.AccuracyTargetFPR (and, for the serial analyser, ran
-	// under the deterministic scheduler).
+	// used Options.AccuracyTargetFPR.
 	Accuracy *AccuracyReport `json:",omitempty"`
 	// Telemetry is the self-observability snapshot of the run (metric
 	// counters/gauges/histograms plus pipeline-phase spans). Nil unless

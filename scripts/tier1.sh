@@ -1,14 +1,14 @@
 #!/bin/sh
 # tier1.sh — the repository's tier-1 verification gate (see ROADMAP.md).
 # Build, formatting, vet, the full test suite, a race-detector pass over
-# the packages with lock-free hot paths (signature memory), real concurrency
-# (the parallel engine mode, the sharded analysis pipeline, replay producer
-# staging), blocking queues (the detect queue reproductions), merge-order
-# algebra (comm), the static-coalescing differential wall (passes) and the
-# observability primitives (obs timelines, tracers, histograms) plus a
-# facade-level race pass scraping /metrics and /progress during a live
-# sharded run, plus
-# a short fuzz smoke over the trace codec, the source instrumenter and the
+# the single-owner signature memory, real concurrency (the parallel engine
+# mode, the sharded analysis pipeline, replay producer staging), blocking
+# queues (the detect queue reproductions), merge-order algebra (comm), the
+# static-coalescing differential wall (passes) and the observability
+# primitives (obs timelines, tracers, histograms) plus a facade-level race
+# pass scraping /metrics and /progress during a live sharded run and
+# running every Parallel entry path (no two goroutines share a signature),
+# plus a short fuzz smoke over the trace codec, the source instrumenter and the
 # coalescing pass, and an instrument+vet check of every example program
 # under testdata/ via the commtrace driver.
 set -eu
@@ -38,8 +38,8 @@ go test -race ./internal/sig/... ./internal/exec/... ./internal/pipeline/... ./i
 	./internal/patterns/... ./internal/metrics/... ./internal/instrument/... ./internal/passes/... \
 	./internal/obs/...
 
-echo "== go test -race (facade timeline + live concurrent scrape) =="
-go test -race -run 'TestTimeline|TestTelemetryConcurrentScrape|TestReportOverheadAttribution|TestProgressStageLatencies' .
+echo "== go test -race (facade timeline + live concurrent scrape + Parallel entry paths) =="
+go test -race -run 'TestTimeline|TestTelemetryConcurrentScrape|TestReportOverheadAttribution|TestProgressStageLatencies|TestProfileParallelMode|TestParallelDeterministicTotalInvariance|TestParallelEntryPathsPopulateSingleOwnerLayers' .
 
 echo "== commtrace -mode check (instrument + vet every example program) =="
 for pkg in workerpool chanpipe striped; do

@@ -11,7 +11,6 @@ import (
 	"commprof/internal/exec"
 	"commprof/internal/obs"
 	"commprof/internal/pipeline"
-	"commprof/internal/splash"
 	"commprof/internal/trace"
 )
 
@@ -120,33 +119,43 @@ func sampledProbe(inner exec.Probe, threads int, burst, period uint32) (exec.Pro
 	return probe, gate.Fraction(), nil
 }
 
-// profileSharded is Profile's pipeline-backed analysis path
-// (Options.AnalysisShards > 0).
-func profileSharded(opts Options, prog splash.Program, tel *Telemetry, probes *obs.Probes, setup *obs.SpanHandle) (*Report, error) {
-	ps, err := newPhaseState(opts, prog.Table(), tel, probes)
+// runSharded drives one simulated-thread run through the sharded pipeline:
+// Profile, Run and ProfileMiniPar take this path whenever AnalysisShards > 0
+// or Parallel is set, so no two goroutines ever share a detector or a
+// signature. A Parallel run with AnalysisShards == 0 gets one shard: the
+// serial analyser's single un-partitioned signature, owned by one worker
+// and fed by the threads' producers. run executes the workload on the
+// prepared engine; setup (nil-safe) is ended just before it starts.
+func runSharded(name string, opts Options, threads int, table *trace.Table, tel *Telemetry, probes *obs.Probes, setup *obs.SpanHandle, run func(*exec.Engine) (exec.Stats, error)) (*Report, error) {
+	if opts.AnalysisShards == 0 {
+		opts.AnalysisShards = 1
+	}
+	ps, err := newPhaseState(opts, table, tel, probes)
 	if err != nil {
 		return nil, err
 	}
-	pe, err := newPipeline(opts, opts.Threads, prog.Table(), probes, ps)
+	pe, err := newPipeline(opts, threads, table, probes, ps)
 	if err != nil {
 		return nil, err
 	}
 	// Producer-side staging amortises shard-queue locking the way
 	// ProcessStream always did for replay. In parallel engine mode each
-	// thread produces only its own accesses, so a per-thread producer is
-	// contention-free; staging merely widens the enqueue-order race the mode
-	// already accepts. The deterministic scheduler funnels every thread's
-	// accesses through one serialized probe, so a single producer flushed on
-	// thread switches (= quantum boundaries) preserves the exact global
-	// arrival order.
+	// thread produces only its own accesses into its own producer, flushed
+	// at every synchronisation point (exec.Options.Sync), so accesses that
+	// synchronisation orders reach the shard queues in that order. The
+	// deterministic scheduler funnels every thread's accesses through one
+	// serialized probe, so a single producer flushed on thread switches
+	// (= quantum boundaries) preserves the exact global arrival order.
 	var probe exec.Probe
+	var flushThread func(int32)
 	var flushProducers func()
 	if opts.Parallel {
-		producers := make([]*pipeline.Producer, opts.Threads)
+		producers := make([]*pipeline.Producer, threads)
 		for i := range producers {
 			producers[i] = pe.NewProducer(false)
 		}
 		probe = func(a trace.Access) { producers[a.Thread].Process(a) }
+		flushThread = func(thread int32) { producers[thread].Flush() }
 		flushProducers = func() {
 			for _, p := range producers {
 				p.Flush()
@@ -159,21 +168,22 @@ func profileSharded(opts Options, prog splash.Program, tel *Telemetry, probes *o
 	}
 	sampleFraction := 1.0
 	if opts.SamplePeriod > 0 {
-		probe, sampleFraction, err = sampledProbe(probe, opts.Threads, opts.SampleBurst, opts.SamplePeriod)
+		probe, sampleFraction, err = sampledProbe(probe, threads, opts.SampleBurst, opts.SamplePeriod)
 		if err != nil {
+			pe.Close()
 			return nil, err
 		}
 	}
 	eng := exec.New(exec.Options{
-		Threads: opts.Threads, Probe: probe, Parallel: opts.Parallel,
+		Threads: threads, Probe: probe, Parallel: opts.Parallel, Sync: flushThread,
 		Probes: probes.EngineProbes(),
 	})
 	tel.wireRunSharded(eng, pe)
 	ps.wire(pe.AdvancePhases)
 	setup.End()
-	run := tel.span("engine-run")
-	stats, err := prog.Run(eng)
-	run.End()
+	span := tel.span("engine-run")
+	stats, err := run(eng)
+	span.End()
 	if err != nil {
 		pe.Close()
 		return nil, err
@@ -182,11 +192,11 @@ func profileSharded(opts Options, prog splash.Program, tel *Telemetry, probes *o
 	flushProducers()
 	pe.Close()
 	drain.End()
-	rep, tree, err := buildReportSharded(opts.Workload, opts.Threads, pe, stats, opts.MaxHotspots, tel)
+	rep, tree, err := buildReportSharded(name, threads, pe, stats, opts.MaxHotspots, tel)
 	if err != nil {
 		return nil, err
 	}
-	attachAccuracySharded(rep, pe, opts, opts.Threads, tel)
+	attachAccuracySharded(rep, pe, opts, threads, tel)
 	if err := attachPhasesSharded(rep, pe, ps); err != nil {
 		return nil, err
 	}
@@ -272,7 +282,9 @@ func pipelineReport(pe *pipeline.Engine) *PipelineReport {
 // but the specific collisions differ (see the internal/pipeline package
 // documentation).
 func ProfileTraceParallel(accesses []Access, regions []Region, threads int, opts Options) (*Report, error) {
-	opts.setDefaults()
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
 	if threads <= 0 {
 		return nil, fmt.Errorf("commprof: threads must be positive, got %d", threads)
 	}

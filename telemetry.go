@@ -57,8 +57,15 @@ type Telemetry struct {
 	ovhMu   sync.Mutex
 	ovhBase overheadBaseline
 
-	// Fill-sampler state: the periodic goroutine that probes the production
-	// signature's bloom fill ratio during a run (see startFillSampler).
+	// settle, when non-nil, has the finished run's signature publish its
+	// final state for live readers; finishRun calls it on the owning
+	// goroutine once the run is over. Sharded runs need none: each shard
+	// worker publishes as it exits.
+	settle func()
+
+	// Fill-sampler state: the periodic goroutine that reads the production
+	// signature's published bloom fill ratio during a run (see
+	// startFillSampler).
 	fillMu      sync.Mutex
 	fillSamples []FillSample
 	fillStop    chan struct{}
@@ -72,9 +79,10 @@ type Telemetry struct {
 	phaseDone chan struct{}
 }
 
-// fillSampleInterval is the signature-saturation probe cadence. FillRatio
-// samples a strided subset of filters, so a probe costs microseconds; 25ms
-// keeps even sub-second runs with a few trajectory points.
+// fillSampleInterval is the signature-saturation probe cadence. A probe
+// reads the fill ratio the signature's owner last published (every 2^16
+// operations and at the end of the run), so it costs nanoseconds; 25ms keeps
+// even sub-second runs with a few trajectory points.
 const fillSampleInterval = 25 * time.Millisecond
 
 // maxFillSamples bounds the recorded trajectory; when the run outlives the
@@ -731,7 +739,7 @@ func (t *Telemetry) wireRun(eng *exec.Engine, d *detect.Detector, backend *sig.A
 		return float64(d.Stats().Processed) / elapsed
 	})
 	reg.GaugeFunc("sig_slot_occupancy", backend.Occupancy)
-	reg.GaugeFunc("sig_bloom_fill_ratio", func() float64 { return backend.FillRatio(256) })
+	reg.GaugeFunc("sig_bloom_fill_ratio", backend.LiveFillRatio)
 	reg.GaugeFunc("sig_footprint_bytes", func() float64 { return float64(backend.FootprintBytes()) })
 	if _, ok := d.RedundancyStats(); ok {
 		reg.GaugeFunc("redundancy_hit_rate", func() float64 {
@@ -750,7 +758,8 @@ func (t *Telemetry) wireRun(eng *exec.Engine, d *detect.Detector, backend *sig.A
 	if mon != nil {
 		eval = mon.Evaluate
 	}
-	t.startFillSampler(start, func() float64 { return backend.FillRatio(256) }, eval, t.counterTickSerial(d))
+	t.settle = backend.Publish
+	t.startFillSampler(start, backend.LiveFillRatio, eval, t.counterTickSerial(d))
 	t.progress.Store(func() ProgressSnapshot {
 		st := d.Stats()
 		elapsed := time.Since(start).Seconds()
@@ -776,7 +785,7 @@ func (t *Telemetry) wireRun(eng *exec.Engine, d *detect.Detector, backend *sig.A
 			SkippedReads:   skipped,
 			SigFilters:     backend.AllocatedFilters(),
 			SigOccupancy:   backend.Occupancy(),
-			SigFillRatio:   backend.FillRatio(64),
+			SigFillRatio:   backend.LiveFillRatio(),
 
 			RedundancyHitRate: redunRate,
 			FillTrajectory:    t.fillTrajectory(),
@@ -857,7 +866,8 @@ func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
 	if monitored {
 		eval = pe.EvaluateAccuracy
 	}
-	t.startFillSampler(start, func() float64 { return pe.FillRatio(256) }, eval, t.counterTickSharded(pe))
+	t.settle = nil
+	t.startFillSampler(start, pe.LiveFillRatio, eval, t.counterTickSharded(pe))
 	t.progress.Store(func() ProgressSnapshot {
 		st := pe.Stats()
 		elapsed := time.Since(start).Seconds()
@@ -882,7 +892,7 @@ func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
 			CommBytes:      st.CommBytes,
 			ShardDepths:    depths,
 			DroppedReads:   st.DroppedReads,
-			SigFillRatio:   pe.FillRatio(64),
+			SigFillRatio:   pe.LiveFillRatio(),
 
 			RedundancyHitRate: redunRate,
 			FillTrajectory:    t.fillTrajectory(),
@@ -970,6 +980,10 @@ func (t *Telemetry) wirePhases(lp *metrics.LivePhases, regionName func(int32) st
 func (t *Telemetry) finishRun(rep *Report, tree *comm.Tree) {
 	if t == nil {
 		return
+	}
+	if t.settle != nil {
+		t.settle()
+		t.settle = nil
 	}
 	t.stopFillSampler()
 	t.stopPhaseSampler()
