@@ -170,6 +170,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if cerr := f.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
+		if err != nil {
+			os.Remove(*record) // a failed recording leaves no partial trace
+		}
 	default:
 		rep, err = commprof.Profile(opts)
 	}

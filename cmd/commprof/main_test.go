@@ -76,6 +76,20 @@ func TestSamplingFlag(t *testing.T) {
 	}
 }
 
+// TestRecordRejectsParallel pins that -record with -parallel fails with the
+// facade's Options error instead of silently recording a deterministic run,
+// and leaves no trace file behind.
+func TestRecordRejectsParallel(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "fft.trace")
+	code, _, errOut := runCLI(t, "-app", "fft", "-threads", "4", "-parallel", "-record", tracePath)
+	if code != 1 || !strings.Contains(errOut, "Options.Parallel") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 with the Options.Parallel error", code, errOut)
+	}
+	if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+		t.Errorf("failed recording left %s behind (stat err %v)", tracePath, err)
+	}
+}
+
 func TestRecordAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "fft.trace")

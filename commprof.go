@@ -21,13 +21,8 @@ package commprof
 
 import (
 	"fmt"
-	"time"
 
 	"commprof/internal/accuracy"
-	"commprof/internal/comm"
-	"commprof/internal/detect"
-	"commprof/internal/exec"
-	"commprof/internal/metrics"
 	"commprof/internal/obs"
 	"commprof/internal/redundancy"
 	"commprof/internal/sig"
@@ -38,7 +33,7 @@ import (
 // Options configures a profiling run.
 type Options struct {
 	// Workload names a bundled benchmark (see Workloads). Required for
-	// Profile; ignored by ProfileTrace and Run.
+	// Profile and Record; the other entry points bring their own accesses.
 	Workload string
 	// Threads is the simulated thread count (default 32, the paper's
 	// configuration).
@@ -78,12 +73,16 @@ type Options struct {
 	// every barrier and lock release, so every analyser structure keeps a
 	// single owner. With AnalysisShards 0 the pipeline has one shard, which
 	// owns the whole un-partitioned signature; Report.Pipeline describes it.
+	// ProfileTrace and Replay have no threads to free, so there Parallel
+	// only selects that pipeline. Record rejects it with an *OptionsError:
+	// a recording needs one global access order.
 	Parallel bool
 	// SampleBurst/SamplePeriod enable read sampling (the paper's §VII
 	// overhead-reduction outlook): of every SamplePeriod reads per thread,
 	// the first SampleBurst are analysed; writes are always analysed. Zero
 	// values disable sampling. Detected volumes scale by roughly
-	// SampleBurst/SamplePeriod.
+	// SampleBurst/SamplePeriod. Record still writes every access to the
+	// trace.
 	SampleBurst, SamplePeriod uint32
 	// GranularityBits coarsens the analysis granularity: addresses are
 	// shifted right by this amount before consulting the signature (0 =
@@ -114,7 +113,8 @@ type Options struct {
 	// dedicated worker goroutine; shard matrices merge into the standard
 	// report at the end of the run. 0 (the default) keeps the paper's serial
 	// analysis (a Parallel run then uses one shard, see Parallel; the
-	// ProfileTraceParallel entry point uses GOMAXPROCS shards). Composes
+	// ProfileTraceParallel entry point uses GOMAXPROCS shards). Negative
+	// values fail with an *OptionsError. Composes
 	// with PhaseWindow: shard workers bucket events by
 	// the global access index and the per-shard window partials merge to the
 	// serial analyser's exact window set.
@@ -223,6 +223,9 @@ func (o *Options) normalize() error {
 	if o.SignatureSlots > sig.MaxSlots {
 		return &OptionsError{Field: "SignatureSlots", Err: &sig.SlotsError{Slots: o.SignatureSlots}}
 	}
+	if o.AnalysisShards < 0 {
+		return &OptionsError{Field: "AnalysisShards", Err: fmt.Errorf("%d is negative", o.AnalysisShards)}
+	}
 	if o.RedundancyCacheBits > redundancy.MaxBits {
 		return &OptionsError{Field: "RedundancyCacheBits", Err: fmt.Errorf("%d bits exceeds the %d-bit bound (%d MiB per cache)",
 			o.RedundancyCacheBits, redundancy.MaxBits, 12<<redundancy.MaxBits>>20)}
@@ -249,34 +252,6 @@ func (o Options) accuracyOptions(threads int, probes *obs.Probes) *accuracy.Opti
 	}
 }
 
-// newAccuracyMonitor builds the serial analyser's monitor, or nil when the
-// monitor is disabled.
-func newAccuracyMonitor(o Options, threads int, probes *obs.Probes) (*accuracy.Monitor, error) {
-	ao := o.accuracyOptions(threads, probes)
-	if ao == nil {
-		return nil, nil
-	}
-	return accuracy.New(*ao)
-}
-
-// attachAccuracy renders a serial detector's monitor into Report.Accuracy:
-// it runs the final alarm evaluation against the production signature's
-// closing fill ratio, derives the estimate and the Eq. 2 recommendation, and
-// (when the run had telemetry) attaches the recorded fill trajectory. A
-// no-op when the run was unmonitored.
-func attachAccuracy(rep *Report, d *detect.Detector, opts Options, threads int, backend *sig.Asymmetric, tel *Telemetry) {
-	mon := d.Accuracy()
-	if mon == nil {
-		return
-	}
-	fill := backend.FillRatio(256)
-	mon.Evaluate(fill)
-	est := mon.Estimate()
-	rec := accuracy.Recommend(est, opts.SignatureSlots, threads, opts.BloomFPRate)
-	alarm, _ := mon.Alarm()
-	rep.Accuracy = accuracyReport(est, rec, mon.ShadowFootprintBytes(), fill, tel.fillTrajectory(), alarm)
-}
-
 // Workloads returns the names of the bundled SPLASH-2-style benchmarks.
 func Workloads() []string { return splash.Names() }
 
@@ -287,12 +262,16 @@ func SignatureMemoryBytes(slots uint64, threads int, fpRate float64) uint64 {
 }
 
 // Profile runs the named bundled workload under the profiler.
-func Profile(opts Options) (*Report, error) {
+func Profile(opts Options) (*Report, error) { return profileSplash(opts, nil) }
+
+// profileSplash runs a bundled workload through one analysis session on the
+// simulated-thread engine; Profile and Record end here. tee, when non-nil,
+// receives the region table and every access in global order.
+func profileSplash(opts Options, tee *trace.Stream) (*Report, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	tel := opts.Telemetry
-	setup := tel.span("workload-setup")
+	setup := opts.Telemetry.span("workload-setup")
 	size, err := splash.ParseSize(opts.InputSize)
 	if err != nil {
 		return nil, err
@@ -303,167 +282,12 @@ func Profile(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runSimulated(opts.Workload, opts, opts.Threads, prog.Table(), tel, setup, prog.Run)
-}
-
-// runSimulated profiles one run of a workload on the simulated-thread
-// engine: Profile, Run and ProfileMiniPar all end here. run executes the
-// workload on the engine it is given; setup (nil-safe) is the span to end
-// when the run starts. With AnalysisShards > 0 or Parallel the sharded
-// pipeline analyses the run (runSharded); otherwise the serial detector
-// does, behind the deterministic scheduler, which serialises every probe
-// call so the detector, its signature, redundancy cache and accuracy
-// monitor have one owner at a time.
-func runSimulated(name string, opts Options, threads int, table *trace.Table, tel *Telemetry, setup *obs.SpanHandle, run func(*exec.Engine) (exec.Stats, error)) (*Report, error) {
-	probes := tel.probes()
-	if opts.AnalysisShards > 0 || opts.Parallel {
-		return runSharded(name, opts, threads, table, tel, probes, setup, run)
+	if tee != nil {
+		tee.Table = prog.Table()
 	}
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
-	})
+	s, err := newSession(opts.Workload, opts, opts.Threads, prog.Table(), false)
 	if err != nil {
 		return nil, err
 	}
-	mon, err := newAccuracyMonitor(opts, threads, probes)
-	if err != nil {
-		return nil, err
-	}
-	var seg *metrics.PhaseSegmenter
-	dopts := detect.Options{
-		Threads: threads, Backend: backend, Table: table,
-		GranularityBits:     opts.GranularityBits,
-		RedundancyCacheBits: opts.RedundancyCacheBits,
-		Accuracy:            mon,
-		Probes:              probes.DetectProbes(),
-	}
-	ps, err := newPhaseState(opts, table, tel, probes)
-	if err != nil {
-		return nil, err
-	}
-	if ps != nil {
-		seg, err = metrics.NewPhaseSegmenter(threads, opts.PhaseWindow, phaseThreshold)
-		if err != nil {
-			return nil, err
-		}
-		dopts.OnEvent = seg.Observe
-	}
-	d, err := detect.New(dopts)
-	if err != nil {
-		return nil, err
-	}
-	probe := d.Probe()
-	sampleFraction := 1.0
-	var smp *detect.Sampler
-	if opts.SamplePeriod > 0 {
-		smp, err = detect.NewSampler(d, opts.SampleBurst, opts.SamplePeriod)
-		if err != nil {
-			return nil, err
-		}
-		probe = smp.Probe()
-		sampleFraction = smp.SampleFraction()
-	}
-	eng := exec.New(exec.Options{
-		Threads: threads, Probe: probe, Probes: probes.EngineProbes(),
-	})
-	tel.wireRun(eng, d, backend, smp)
-	if seg != nil {
-		onClose := ps.onClose()
-		ps.wire(func() int { return seg.Advance(onClose) })
-	}
-	setup.End()
-	span := tel.span("engine-run")
-	stats, err := run(eng)
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	rep, tree, err := buildReport(name, threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
-	if err != nil {
-		return nil, err
-	}
-	attachAccuracy(rep, d, opts, threads, backend, tel)
-	rep.SampleFraction = sampleFraction
-	if seg != nil {
-		seg.Flush(ps.onClose())
-		ps.attach(rep, seg.WindowSet())
-	}
-	tel.finishRun(rep, tree)
-	return rep, nil
-}
-
-func buildReport(name string, threads int, d *detect.Detector, stats exec.Stats, sigBytes uint64, maxHotspots int, tel *Telemetry) (*Report, *comm.Tree, error) {
-	build := tel.span("tree-build")
-	stages := tel.probes().StageProbes()
-	var t0 time.Time
-	if stages != nil {
-		t0 = time.Now()
-	}
-	tree, err := d.Tree()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := tree.CheckSummationLaw(); err != nil {
-		return nil, nil, fmt.Errorf("commprof: internal invariant violated: %w", err)
-	}
-	if stages != nil {
-		stages.Merge.Observe(uint64(time.Since(t0)))
-	}
-	build.End()
-	dstats := d.Stats()
-	rep, tree, err := reportFromTree(name, threads, tree, dstats.Detected, dstats.CommBytes, stats, sigBytes, maxHotspots, tel)
-	if err != nil {
-		return nil, nil, err
-	}
-	if st, ok := d.RedundancyStats(); ok {
-		rep.Redundancy = redundancyReport(st)
-	}
-	return rep, tree, nil
-}
-
-// reportFromTree renders a finished communication tree into the public report
-// form. Both analysers end here: the serial detector via buildReport, the
-// sharded pipeline via buildReportSharded.
-func reportFromTree(name string, threads int, tree *comm.Tree, detected, commBytes uint64, stats exec.Stats, sigBytes uint64, maxHotspots int, tel *Telemetry) (*Report, *comm.Tree, error) {
-	report := tel.span("report")
-	defer report.End()
-	rep := &Report{
-		Workload:       name,
-		Threads:        threads,
-		Accesses:       stats.Accesses,
-		Dependencies:   detected,
-		CommBytes:      commBytes,
-		SignatureBytes: sigBytes,
-		SampleFraction: 1,
-		Global:         fromInternal(tree.Global),
-	}
-	tree.Walk(func(n *comm.Node, depth int) {
-		rep.Regions = append(rep.Regions, RegionReport{
-			Name:            n.Region.Label(),
-			File:            n.Region.File,
-			Line:            n.Region.Line,
-			Kind:            n.Region.Kind.String(),
-			Depth:           depth,
-			Accesses:        n.Accesses,
-			OwnBytes:        n.Own.Total(),
-			CumulativeBytes: n.Cumulative.Total(),
-			Matrix:          fromInternal(n.Cumulative),
-		})
-	})
-	if maxHotspots < 0 {
-		maxHotspots = tree.NodeCount() // negative lifts the cap: rank every loop
-	}
-	for _, h := range tree.Hotspots(maxHotspots) {
-		load := metrics.ThreadLoad(h.Node.Cumulative)
-		rep.Hotspots = append(rep.Hotspots, HotspotReport{
-			Region:        h.Node.Region.Label(),
-			Bytes:         h.Bytes,
-			Share:         h.Share,
-			Load:          load,
-			ActiveThreads: metrics.ActiveThreads(load),
-			BalanceIndex:  metrics.BalanceIndex(load),
-		})
-	}
-	return rep, tree, nil
+	return s.runEngine(setup, tee, prog.Run)
 }

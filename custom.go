@@ -2,12 +2,10 @@ package commprof
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 
-	"commprof/internal/detect"
 	"commprof/internal/exec"
-	"commprof/internal/metrics"
-	"commprof/internal/sig"
 	"commprof/internal/trace"
 )
 
@@ -66,7 +64,11 @@ func buildTable(regions []Region) (*trace.Table, error) {
 	return table, nil
 }
 
-// ProfileTrace runs the profiler offline over a recorded access trace.
+// ProfileTrace runs the profiler offline over a recorded access trace,
+// on the serial detector or, with AnalysisShards or Parallel, the sharded
+// pipeline. An access whose thread lies outside [0,threads) or whose region
+// is neither -1 nor an index into regions fails the run with an "access i"
+// error.
 func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options) (*Report, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -78,80 +80,32 @@ func ProfileTrace(accesses []Access, regions []Region, threads int, opts Options
 	if err != nil {
 		return nil, err
 	}
-	tel := opts.Telemetry
-	probes := tel.probes()
-	backend, err := sig.NewAsymmetric(sig.Options{
-		Slots: opts.SignatureSlots, Threads: threads, FPRate: opts.BloomFPRate,
-		Probes: probes.SigProbes(),
+	s, err := newSession("trace", opts, threads, table, true)
+	if err != nil {
+		return nil, err
+	}
+	// Convert the caller's slice one batch at a time into the session's
+	// reused buffer: the slice stays the only O(accesses) state.
+	rest := accesses
+	return s.runBatches(func(buf []trace.Access) ([]trace.Access, error) {
+		if len(rest) == 0 {
+			return buf[:0], io.EOF
+		}
+		n := min(len(rest), cap(buf))
+		buf = buf[:0]
+		for _, a := range rest[:n] {
+			k := trace.Read
+			if a.Kind == WriteAccess {
+				k = trace.Write
+			}
+			buf = append(buf, trace.Access{
+				Time: a.Time, Addr: a.Addr, Size: a.Size,
+				Thread: a.Thread, Region: a.Region, Kind: k,
+			})
+		}
+		rest = rest[n:]
+		return buf, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	mon, err := newAccuracyMonitor(opts, threads, probes)
-	if err != nil {
-		return nil, err
-	}
-	// The replay loop below is the cache's and the monitor's single consumer.
-	dopts := detect.Options{
-		Threads: threads, Backend: backend, Table: table,
-		GranularityBits:     opts.GranularityBits,
-		RedundancyCacheBits: opts.RedundancyCacheBits,
-		Accuracy:            mon,
-		Probes:              probes.DetectProbes(),
-	}
-	ps, err := newPhaseState(opts, table, tel, probes)
-	if err != nil {
-		return nil, err
-	}
-	var seg *metrics.PhaseSegmenter
-	if ps != nil {
-		seg, err = metrics.NewPhaseSegmenter(threads, opts.PhaseWindow, phaseThreshold)
-		if err != nil {
-			return nil, err
-		}
-		dopts.OnEvent = seg.Observe
-	}
-	d, err := detect.New(dopts)
-	if err != nil {
-		return nil, err
-	}
-	tel.wireRun(nil, d, backend, nil)
-	if seg != nil {
-		onClose := ps.onClose()
-		ps.wire(func() int { return seg.Advance(onClose) })
-	}
-	var stats exec.Stats
-	for i, a := range accesses {
-		if a.Thread < 0 || int(a.Thread) >= threads {
-			return nil, fmt.Errorf("commprof: access %d has thread %d out of range", i, a.Thread)
-		}
-		if a.Region != trace.NoRegion && (a.Region < 0 || int(a.Region) >= table.Len()) {
-			return nil, fmt.Errorf("commprof: access %d references unknown region %d", i, a.Region)
-		}
-		k := trace.Read
-		if a.Kind == WriteAccess {
-			k = trace.Write
-			stats.Writes++
-		} else {
-			stats.Reads++
-		}
-		stats.Accesses++
-		d.Process(trace.Access{
-			Time: a.Time, Addr: a.Addr, Size: a.Size,
-			Thread: a.Thread, Region: a.Region, Kind: k,
-		})
-	}
-	rep, tree, err := buildReport("trace", threads, d, stats, backend.FootprintBytes(), opts.MaxHotspots, tel)
-	if err != nil {
-		return nil, err
-	}
-	attachAccuracy(rep, d, opts, threads, backend, tel)
-	if seg != nil {
-		seg.Flush(ps.onClose())
-		ps.attach(rep, seg.WindowSet())
-	}
-	tel.finishRun(rep, tree)
-	return rep, nil
 }
 
 // Thread is the handle a custom workload body uses inside Run: it mirrors
@@ -206,7 +160,11 @@ func Run(threads int, regions []Region, body func(*Thread), opts Options) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	return runSimulated("custom", opts, threads, table, opts.Telemetry, nil, func(eng *exec.Engine) (exec.Stats, error) {
+	s, err := newSession("custom", opts, threads, table, false)
+	if err != nil {
+		return nil, err
+	}
+	return s.runEngine(nil, nil, func(eng *exec.Engine) (exec.Stats, error) {
 		return eng.Run(func(et *exec.Thread) { body(&Thread{t: et}) })
 	})
 }

@@ -60,7 +60,11 @@ func ProfileMiniPar(src string, threads int, onlyFuncs []string, opts Options) (
 		return nil, nil, err
 	}
 	var stats exec.Stats
-	rep, err := runSimulated("minipar", opts, threads, table, opts.Telemetry, nil, func(eng *exec.Engine) (exec.Stats, error) {
+	s, err := newSession("minipar", opts, threads, table, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := s.runEngine(nil, nil, func(eng *exec.Engine) (exec.Stats, error) {
 		var err error
 		stats, err = rt.Run(eng)
 		return stats, err

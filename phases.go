@@ -93,7 +93,7 @@ func (p *phaseState) onClose() func(w *comm.Window, end uint64) {
 // wire binds the live phase surfaces (gauges, /progress fields, the periodic
 // window-advancing sampler) to the run. advance drives window closing — the
 // serial segmenter's Advance or the pipeline's AdvancePhases. Call after
-// wireRun / wireRunSharded so the /progress snapshot wraps the run's base
+// Telemetry.wire so the /progress snapshot wraps the run's base
 // snapshot. No-op without telemetry.
 func (p *phaseState) wire(advance func() int) {
 	if p == nil || p.live == nil {

@@ -310,8 +310,9 @@ func accuracyReport(est accuracy.Estimate, rec accuracy.Recommendation, shadowBy
 // BatchService time (the shard workers' detector time) is split into
 // Signature, Redundancy and Shadow using a 1-in-256 sampled sub-timing, with
 // the sampled estimates clamped so the split always sums to the measured
-// batch-service total. Present on replay and sharded runs, where the
-// instrumented stage boundaries exist; nil on purely synthetic serial runs.
+// batch-service total. Present on batch-source runs (ProfileTrace,
+// ProfileTraceParallel, Replay) and sharded runs, where the instrumented
+// stage boundaries exist; nil on engine-driven serial runs.
 type OverheadReport struct {
 	// EngineWallNanos is wall time from run wiring to report build. With K
 	// parallel shard workers the attributed stage time can legitimately
@@ -425,7 +426,7 @@ type Report struct {
 	Telemetry *TelemetryReport `json:",omitempty"`
 	// Overhead decomposes the run's wall time into the profiler's own
 	// analysis stages. Nil unless Options.Telemetry was set and the run went
-	// through an instrumented stage boundary (replay or the sharded
+	// through an instrumented stage boundary (a batch source or the sharded
 	// pipeline).
 	Overhead *OverheadReport `json:",omitempty"`
 }

@@ -7,7 +7,9 @@
 # static-coalescing differential wall (passes) and the observability
 # primitives (obs timelines, tracers, histograms) plus a facade-level race
 # pass scraping /metrics and /progress during a live sharded run and
-# running every Parallel entry path (no two goroutines share a signature),
+# running every Parallel entry path (no two goroutines share a signature)
+# and the entry-path table's Parallel rows plus crafted out-of-range trace
+# accesses,
 # plus a short fuzz smoke over the trace codec, the source instrumenter and the
 # coalescing pass, and an instrument+vet check of every example program
 # under testdata/ via the commtrace driver.
@@ -40,6 +42,9 @@ go test -race ./internal/sig/... ./internal/exec/... ./internal/pipeline/... ./i
 
 echo "== go test -race (facade timeline + live concurrent scrape + Parallel entry paths) =="
 go test -race -run 'TestTimeline|TestTelemetryConcurrentScrape|TestReportOverheadAttribution|TestProgressStageLatencies|TestProfileParallelMode|TestParallelDeterministicTotalInvariance|TestParallelEntryPathsPopulateSingleOwnerLayers' .
+
+echo "== go test -race (entry-path table Parallel rows + crafted trace accesses) =="
+go test -race -run 'TestEntryPathConfigTable/parallel/|TestCraftedAccessesFailTyped' .
 
 echo "== commtrace -mode check (instrument + vet every example program) =="
 for pkg in workerpool chanpipe striped; do

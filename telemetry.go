@@ -10,13 +10,10 @@ import (
 	"time"
 
 	"commprof/internal/comm"
-	"commprof/internal/detect"
 	"commprof/internal/exec"
 	"commprof/internal/metrics"
 	"commprof/internal/obs"
 	"commprof/internal/patterns"
-	"commprof/internal/pipeline"
-	"commprof/internal/sig"
 )
 
 // Telemetry is the profiler's self-observability handle: a metrics registry
@@ -574,8 +571,8 @@ type overheadBaseline struct {
 	redun, shadow                         uint64
 }
 
-// markOverheadBaseline snapshots the current stage totals; wireRun and
-// wireRunSharded call it so finishRun attributes only this run's time.
+// markOverheadBaseline snapshots the current stage totals; wire calls it so
+// finishRun attributes only this run's time.
 func (t *Telemetry) markOverheadBaseline() {
 	if t == nil {
 		return
@@ -646,57 +643,35 @@ func (t *Telemetry) overheadReport() *OverheadReport {
 	return rep
 }
 
-// counterTickSharded returns the periodic counter-track sampler for a
-// sharded run: per-shard queue depth, redundancy hit rate and the live FPR
-// estimate, plus a one-shot instant the first time the accuracy alarm trips.
-// Nil when the timeline is off, so the fill sampler skips it entirely.
-func (t *Telemetry) counterTickSharded(pe *pipeline.Engine) func() {
+// counterTick returns the periodic counter-track sampler for a run: the
+// redundancy hit rate, the live FPR estimate, a one-shot instant the first
+// time the accuracy alarm trips and, on the sharded analyser, each shard's
+// queue depth. Nil when the timeline is off, so the fill sampler skips it
+// entirely.
+func (t *Telemetry) counterTick(s *session) func() {
 	tl := t.Timeline()
 	if tl == nil {
 		return nil
 	}
 	ctr := tl.Track("counters")
+	an, pe := s.an, s.pe
 	alarmSeen := false
 	return func() {
-		for i := 0; i < pe.Shards(); i++ {
-			ctr.Counter(fmt.Sprintf("queue_depth_shard_%d", i), float64(pe.ShardDepth(i)))
+		if pe != nil {
+			for i := 0; i < pe.Shards(); i++ {
+				ctr.Counter(fmt.Sprintf("queue_depth_shard_%d", i), float64(pe.ShardDepth(i)))
+			}
 		}
-		if rst, ok := pe.RedundancyStats(); ok {
+		if rst, ok := an.RedundancyStats(); ok {
 			ctr.Counter("redundancy_hit_rate", rst.HitRate())
 		}
-		if est, ok := pe.AccuracyEstimate(); ok {
+		if est, ok := an.AccuracyEstimate(); ok {
 			ctr.Counter("live_fpr", est.EstimatedFPR)
 		}
 		if !alarmSeen {
-			if _, tripped := pe.AccuracyAlarm(); tripped {
+			if _, tripped := an.AccuracyAlarm(); tripped {
 				alarmSeen = true
 				ctr.Instant("accuracy-alarm")
-			}
-		}
-	}
-}
-
-// counterTickSerial is counterTickSharded's counterpart for the serial
-// analyser: redundancy hit rate, live FPR and the alarm instant.
-func (t *Telemetry) counterTickSerial(d *detect.Detector) func() {
-	tl := t.Timeline()
-	if tl == nil {
-		return nil
-	}
-	ctr := tl.Track("counters")
-	mon := d.Accuracy()
-	alarmSeen := false
-	return func() {
-		if rst, ok := d.RedundancyStats(); ok {
-			ctr.Counter("redundancy_hit_rate", rst.HitRate())
-		}
-		if mon != nil {
-			ctr.Counter("live_fpr", mon.Estimate().EstimatedFPR)
-			if !alarmSeen {
-				if _, tripped := mon.Alarm(); tripped {
-					alarmSeen = true
-					ctr.Instant("accuracy-alarm")
-				}
 			}
 		}
 	}
@@ -710,12 +685,18 @@ func (t *Telemetry) span(name string) *obs.SpanHandle {
 	return t.tracer.Start(name)
 }
 
-// wireRun binds the live-introspection sources (gauge functions and the
-// /progress snapshot) to one run's engine, detector and signature backend.
-// smp may be nil, and so may eng: offline replay has no simulated-thread
-// engine, so the executor gauges stay unbound and the logical clock reads 0.
-// Call after the detector exists and before the run starts.
-func (t *Telemetry) wireRun(eng *exec.Engine, d *detect.Detector, backend *sig.Asymmetric, smp *detect.Sampler) {
+// wire binds the live-introspection sources (gauge functions, the fill
+// sampler and the /progress snapshot) to one session's analyser. eng is nil
+// for batch sources, which have no simulated-thread engine: the executor
+// gauges stay unbound and the logical clock reads 0. Both analysers export
+// the same throughput, footprint, redundancy and accuracy gauges; the serial
+// analyser adds per-slot saturation and sampler gauges, the sharded one its
+// dropped reads and one depth gauge per shard (pipeline_shard_<i>_depth).
+// The sharded gauges read the engine's merged per-shard state, which stays
+// valid after Close, so a post-run scrape (or the Report.Telemetry
+// snapshot) sees the final merged values rather than zeros. Call before the
+// run starts.
+func (t *Telemetry) wire(eng *exec.Engine, s *session) {
 	if t == nil {
 		return
 	}
@@ -723,164 +704,66 @@ func (t *Telemetry) wireRun(eng *exec.Engine, d *detect.Detector, backend *sig.A
 	t.start.Store(start)
 	t.markOverheadBaseline()
 	reg := t.reg
+	an, pe, serial := s.an, s.pe, s.serial
 	if eng != nil {
 		t.tracer.SetClock(eng.Clock)
 		t.Timeline().SetClock(eng.Clock)
 		reg.GaugeFunc("exec_logical_clock", func() float64 { return float64(eng.Clock()) })
 		reg.GaugeFunc("exec_barrier_epochs", func() float64 { return float64(eng.BarrierEpochs()) })
 	}
-	reg.GaugeFunc("detect_accesses_processed", func() float64 { return float64(d.Stats().Processed) })
-	reg.GaugeFunc("detect_comm_bytes", func() float64 { return float64(d.Stats().CommBytes) })
+	reg.GaugeFunc("detect_accesses_processed", func() float64 { return float64(an.Stats().Processed) })
+	reg.GaugeFunc("detect_comm_bytes", func() float64 { return float64(an.Stats().CommBytes) })
 	reg.GaugeFunc("detect_accesses_per_sec", func() float64 {
 		elapsed := time.Since(start).Seconds()
 		if elapsed <= 0 {
 			return 0
 		}
-		return float64(d.Stats().Processed) / elapsed
+		return float64(an.Stats().Processed) / elapsed
 	})
-	reg.GaugeFunc("sig_slot_occupancy", backend.Occupancy)
-	reg.GaugeFunc("sig_bloom_fill_ratio", backend.LiveFillRatio)
-	reg.GaugeFunc("sig_footprint_bytes", func() float64 { return float64(backend.FootprintBytes()) })
-	if _, ok := d.RedundancyStats(); ok {
+	reg.GaugeFunc("sig_footprint_bytes", func() float64 { return float64(an.SigFootprintBytes()) })
+	if _, ok := an.RedundancyStats(); ok {
 		reg.GaugeFunc("redundancy_hit_rate", func() float64 {
-			st, _ := d.RedundancyStats()
+			st, _ := an.RedundancyStats()
 			return st.HitRate()
 		})
-	}
-	if smp != nil {
-		reg.GaugeFunc("detect_sampler_skipped_reads", func() float64 { return float64(smp.Skipped()) })
-	}
-	mon := d.Accuracy()
-	if mon != nil {
-		reg.GaugeFunc("accuracy_estimated_fpr", func() float64 { return mon.Estimate().EstimatedFPR })
 	}
 	var eval func(float64)
-	if mon != nil {
-		eval = mon.Evaluate
-	}
-	t.settle = backend.Publish
-	t.startFillSampler(start, backend.LiveFillRatio, eval, t.counterTickSerial(d))
-	t.progress.Store(func() ProgressSnapshot {
-		st := d.Stats()
-		elapsed := time.Since(start).Seconds()
-		rate := 0.0
-		if elapsed > 0 {
-			rate = float64(st.Processed) / elapsed
-		}
-		var skipped uint64
-		if smp != nil {
-			skipped = smp.Skipped()
-		}
-		var redunRate float64
-		if rst, ok := d.RedundancyStats(); ok {
-			redunRate = rst.HitRate()
-		}
-		snap := ProgressSnapshot{
-			Phase:          t.tracer.Current(),
-			ElapsedSeconds: elapsed,
-			Accesses:       st.Processed,
-			AccessesPerSec: rate,
-			Dependencies:   st.Detected,
-			CommBytes:      st.CommBytes,
-			SkippedReads:   skipped,
-			SigFilters:     backend.AllocatedFilters(),
-			SigOccupancy:   backend.Occupancy(),
-			SigFillRatio:   backend.LiveFillRatio(),
-
-			RedundancyHitRate: redunRate,
-			FillTrajectory:    t.fillTrajectory(),
-			Stages:            t.stageLatencies(),
-		}
-		if eng != nil {
-			snap.Clock = eng.Clock()
-			snap.PerThread = eng.ThreadProgress()
-			snap.BarrierEpochs = eng.BarrierEpochs()
-		}
-		if mon != nil {
-			est := mon.Estimate()
-			snap.AccuracySampled = est.SampledAccesses
-			snap.AccuracyEstimatedFPR = est.EstimatedFPR
-			snap.AccuracyFPRLow, snap.AccuracyFPRHigh = est.FPRLow, est.FPRHigh
-			snap.AccuracyDesignEffect = est.DesignEffect
-			snap.AccuracyFPRLowClustered, snap.AccuracyFPRHighClustered = est.FPRLowClustered, est.FPRHighClustered
-			snap.AccuracyAlarm, _ = mon.Alarm()
-		}
-		return snap
-	})
-}
-
-// wireRunSharded binds the live-introspection sources to a run analysed by
-// the sharded pipeline: aggregate throughput gauges plus one depth gauge per
-// shard (pipeline_shard_<i>_depth). Per-slot saturation gauges stay unbound
-// (shard partitions expose only aggregates), but the mean bloom fill across
-// partitions feeds the periodic sig_fill_ratio sampler. eng may be nil for
-// offline replay; the gauges here read the pipeline engine's merged
-// per-shard state, which stays valid after Close, so a post-run scrape (or
-// the Report.Telemetry snapshot) sees the final merged values rather than
-// zeros.
-func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
-	if t == nil {
-		return
-	}
-	start := time.Now()
-	t.start.Store(start)
-	t.markOverheadBaseline()
-	reg := t.reg
-	if eng != nil {
-		t.tracer.SetClock(eng.Clock)
-		t.Timeline().SetClock(eng.Clock)
-		reg.GaugeFunc("exec_logical_clock", func() float64 { return float64(eng.Clock()) })
-		reg.GaugeFunc("exec_barrier_epochs", func() float64 { return float64(eng.BarrierEpochs()) })
-	}
-	reg.GaugeFunc("detect_accesses_processed", func() float64 { return float64(pe.Stats().Processed) })
-	reg.GaugeFunc("detect_comm_bytes", func() float64 { return float64(pe.Stats().CommBytes) })
-	reg.GaugeFunc("detect_accesses_per_sec", func() float64 {
-		elapsed := time.Since(start).Seconds()
-		if elapsed <= 0 {
-			return 0
-		}
-		return float64(pe.Stats().Processed) / elapsed
-	})
-	reg.GaugeFunc("sig_footprint_bytes", func() float64 { return float64(pe.SigFootprintBytes()) })
-	reg.GaugeFunc("pipeline_dropped_reads", func() float64 { return float64(pe.Stats().DroppedReads) })
-	if _, ok := pe.RedundancyStats(); ok {
-		reg.GaugeFunc("redundancy_hit_rate", func() float64 {
-			st, _ := pe.RedundancyStats()
-			return st.HitRate()
-		})
-	}
-	for i := 0; i < pe.Shards(); i++ {
-		i := i
-		reg.GaugeFunc(fmt.Sprintf("pipeline_shard_%d_depth", i), func() float64 {
-			return float64(pe.ShardDepth(i))
-		})
-	}
-	_, monitored := pe.AccuracyStats()
-	if monitored {
+	if _, monitored := an.AccuracyEstimate(); monitored {
 		reg.GaugeFunc("accuracy_estimated_fpr", func() float64 {
-			est, _ := pe.AccuracyEstimate()
+			est, _ := an.AccuracyEstimate()
 			return est.EstimatedFPR
 		})
-	}
-	var eval func(float64)
-	if monitored {
-		eval = pe.EvaluateAccuracy
+		eval = an.EvaluateAccuracy
 	}
 	t.settle = nil
-	t.startFillSampler(start, pe.LiveFillRatio, eval, t.counterTickSharded(pe))
+	if pe != nil {
+		reg.GaugeFunc("pipeline_dropped_reads", func() float64 { return float64(pe.Stats().DroppedReads) })
+		for i := 0; i < pe.Shards(); i++ {
+			i := i
+			reg.GaugeFunc(fmt.Sprintf("pipeline_shard_%d_depth", i), func() float64 {
+				return float64(pe.ShardDepth(i))
+			})
+		}
+	} else {
+		// Sharded runs need no settle: each shard worker publishes as it
+		// exits.
+		reg.GaugeFunc("sig_slot_occupancy", serial.backend.Occupancy)
+		reg.GaugeFunc("sig_bloom_fill_ratio", serial.backend.LiveFillRatio)
+		if s.gate != nil {
+			reg.GaugeFunc("detect_sampler_skipped_reads", func() float64 { return float64(s.skipped.Load()) })
+		}
+		t.settle = serial.backend.Publish
+	}
+	t.startFillSampler(start, an.LiveFillRatio, eval, t.counterTick(s))
 	t.progress.Store(func() ProgressSnapshot {
-		st := pe.Stats()
+		st := an.Stats()
 		elapsed := time.Since(start).Seconds()
 		rate := 0.0
 		if elapsed > 0 {
 			rate = float64(st.Processed) / elapsed
 		}
-		depths := make([]int, pe.Shards())
-		for i := range depths {
-			depths[i] = pe.ShardDepth(i)
-		}
 		var redunRate float64
-		if rst, ok := pe.RedundancyStats(); ok {
+		if rst, ok := an.RedundancyStats(); ok {
 			redunRate = rst.HitRate()
 		}
 		snap := ProgressSnapshot{
@@ -890,26 +773,35 @@ func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
 			AccessesPerSec: rate,
 			Dependencies:   st.Detected,
 			CommBytes:      st.CommBytes,
-			ShardDepths:    depths,
+			SkippedReads:   s.skipped.Load(),
 			DroppedReads:   st.DroppedReads,
-			SigFillRatio:   pe.LiveFillRatio(),
+			SigFillRatio:   an.LiveFillRatio(),
 
 			RedundancyHitRate: redunRate,
 			FillTrajectory:    t.fillTrajectory(),
 			Stages:            t.stageLatencies(),
+		}
+		if pe != nil {
+			snap.ShardDepths = make([]int, pe.Shards())
+			for i := range snap.ShardDepths {
+				snap.ShardDepths[i] = pe.ShardDepth(i)
+			}
+		} else {
+			snap.SigFilters = serial.backend.AllocatedFilters()
+			snap.SigOccupancy = serial.backend.Occupancy()
 		}
 		if eng != nil {
 			snap.Clock = eng.Clock()
 			snap.PerThread = eng.ThreadProgress()
 			snap.BarrierEpochs = eng.BarrierEpochs()
 		}
-		if est, ok := pe.AccuracyEstimate(); ok {
+		if est, ok := an.AccuracyEstimate(); ok {
 			snap.AccuracySampled = est.SampledAccesses
 			snap.AccuracyEstimatedFPR = est.EstimatedFPR
 			snap.AccuracyFPRLow, snap.AccuracyFPRHigh = est.FPRLow, est.FPRHigh
 			snap.AccuracyDesignEffect = est.DesignEffect
 			snap.AccuracyFPRLowClustered, snap.AccuracyFPRHighClustered = est.FPRLowClustered, est.FPRHighClustered
-			snap.AccuracyAlarm, _ = pe.AccuracyAlarm()
+			snap.AccuracyAlarm, _ = an.AccuracyAlarm()
 		}
 		return snap
 	})
@@ -917,9 +809,8 @@ func (t *Telemetry) wireRunSharded(eng *exec.Engine, pe *pipeline.Engine) {
 
 // wirePhases binds the live phase-observability surfaces to one run: the
 // current-pattern gauges, per-class closed-window gauges, the /progress phase
-// fields (wrapping the base snapshot wireRun/wireRunSharded stored), and the
-// periodic sampler that drives window closing. Call after wireRun or
-// wireRunSharded. advance closes every window wholly below the run's
+// fields (wrapping the base snapshot wire stored), and the periodic sampler
+// that drives window closing. Call after wire. advance closes every window wholly below the run's
 // progress frontier and returns the count emitted.
 func (t *Telemetry) wirePhases(lp *metrics.LivePhases, regionName func(int32) string, advance func() int) {
 	if t == nil || lp == nil {
