@@ -39,10 +39,6 @@ type DynamicEncoder struct {
 	err       error // sticky failure
 }
 
-// v2/v3 header layout: magic, version, region count, access count, thread
-// count.
-const headerLenV2 = 20
-
 // NewDynamicEncoder writes a stream header (with sentinel counts) and region
 // table to ws and returns an encoder accepting any number of Write calls in
 // the default on-disk format, v3. ws must be seekable so Close can patch the
@@ -142,6 +138,24 @@ func (e *DynamicEncoder) Write(a Access) error {
 	}
 	if a.Thread > e.maxThread {
 		e.maxThread = a.Thread
+	}
+	return nil
+}
+
+// Flush writes the buffered output through to the underlying writer. It
+// neither closes the current v3 block nor patches the header, so the stream
+// stays unfinalized: a writer that dies after Flush leaves every block
+// completed before it on disk, for NewDecoderTolerant to salvage.
+func (e *DynamicEncoder) Flush() error {
+	if e.err != nil {
+		return e.err
+	}
+	if e.closed {
+		return fmt.Errorf("trace: flush after Close")
+	}
+	if err := e.bw.Flush(); err != nil {
+		e.err = fmt.Errorf("trace: flush: %w", err)
+		return e.err
 	}
 	return nil
 }

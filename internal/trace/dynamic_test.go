@@ -157,6 +157,53 @@ func TestDynamicUnfinalizedRejected(t *testing.T) {
 	}
 }
 
+// TestDynamicFlushSalvage pins Flush: it writes every completed v3 block
+// through without finalizing the stream, so a writer that dies after it
+// leaves whole blocks a tolerant decoder salvages cleanly, while the
+// records of the still-open block stay buffered. Flush after Close fails.
+func TestDynamicFlushSalvage(t *testing.T) {
+	var ms memSeeker
+	enc, err := NewDynamicEncoder(&ms, sourceTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2*v3BlockRecords + 100
+	for i := 0; i < n; i++ {
+		if err := enc.Write(Access{Time: uint64(i + 1), Addr: uint64(8 * i), Size: 8, Thread: int32(i % 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDecoder(bytes.NewReader(ms.buf)); err == nil {
+		t.Fatal("Flush finalized the stream")
+	}
+	dec, err := NewDecoderTolerant(bytes.NewReader(ms.buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got int
+	if err := dec.ForEach(func(a Access) error {
+		got++
+		if a.Time != uint64(got) {
+			return fmt.Errorf("salvaged record %d has time %d", got, a.Time)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got != 2*v3BlockRecords || dec.SalvageErr() != nil {
+		t.Fatalf("salvaged %d records (err %v), want the %d of the completed blocks", got, dec.SalvageErr(), 2*v3BlockRecords)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err == nil {
+		t.Fatal("Flush after Close succeeded")
+	}
+}
+
 // TestDynamicTruncatedRecord mirrors the v1 sticky-error tests: a finalized
 // v2 stream cut mid-record must fail with "record i of n" context wrapping
 // io.ErrUnexpectedEOF, and the error must stick. Pinned to v2: the cut

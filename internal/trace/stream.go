@@ -100,8 +100,11 @@ func NewEncoderVersion(w io.Writer, table *Table, accesses, threads, version int
 // writeHeaderAndTable emits the stream header and region table for the given
 // version: the 16-byte v1 header or the 20-byte v2/v3 one (thread count
 // appended), and per region id/parent/kind/name plus file:line for v2/v3.
+//
+// Fixed-width fields are built in bw's free buffer space, so an encoder's
+// setup allocates nothing per region.
 func writeHeaderAndTable(bw *bufio.Writer, version uint32, table *Table, accesses, threads uint32) error {
-	hdr := make([]byte, 0, headerLenV2)
+	hdr := bw.AvailableBuffer()
 	hdr = binary.LittleEndian.AppendUint32(hdr, codecMagic)
 	hdr = binary.LittleEndian.AppendUint32(hdr, version)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(table.Len()))
@@ -113,11 +116,11 @@ func writeHeaderAndTable(bw *bufio.Writer, version uint32, table *Table, accesse
 		return fmt.Errorf("trace: write header: %w", err)
 	}
 	for _, r := range table.Regions {
-		var buf [9]byte
-		binary.LittleEndian.PutUint32(buf[0:], uint32(r.ID))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(r.Parent))
-		buf[8] = byte(r.Kind)
-		if _, err := bw.Write(buf[:]); err != nil {
+		buf := bw.AvailableBuffer()
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.ID))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Parent))
+		buf = append(buf, byte(r.Kind))
+		if _, err := bw.Write(buf); err != nil {
 			return fmt.Errorf("trace: write region: %w", err)
 		}
 		if err := writeString(bw, r.Name); err != nil {
@@ -127,9 +130,8 @@ func writeHeaderAndTable(bw *bufio.Writer, version uint32, table *Table, accesse
 			if err := writeString(bw, r.File); err != nil {
 				return err
 			}
-			var line [4]byte
-			binary.LittleEndian.PutUint32(line[:], uint32(r.Line))
-			if _, err := bw.Write(line[:]); err != nil {
+			line := binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), uint32(r.Line))
+			if _, err := bw.Write(line); err != nil {
 				return fmt.Errorf("trace: write region line: %w", err)
 			}
 		}
@@ -137,16 +139,17 @@ func writeHeaderAndTable(bw *bufio.Writer, version uint32, table *Table, accesse
 	return nil
 }
 
-// writeFixedRecord emits the fixed 29-byte v1/v2 access record.
+// writeFixedRecord emits the fixed 29-byte v1/v2 access record, built in
+// bw's free buffer space so that a record costs no allocation.
 func writeFixedRecord(bw *bufio.Writer, a Access) error {
-	var rec [accessRecLen]byte
-	binary.LittleEndian.PutUint64(rec[0:], a.Time)
-	binary.LittleEndian.PutUint64(rec[8:], a.Addr)
-	binary.LittleEndian.PutUint32(rec[16:], a.Size)
-	binary.LittleEndian.PutUint32(rec[20:], uint32(a.Thread))
-	binary.LittleEndian.PutUint32(rec[24:], uint32(a.Region))
-	rec[28] = byte(a.Kind)
-	_, err := bw.Write(rec[:])
+	rec := bw.AvailableBuffer()
+	rec = binary.LittleEndian.AppendUint64(rec, a.Time)
+	rec = binary.LittleEndian.AppendUint64(rec, a.Addr)
+	rec = binary.LittleEndian.AppendUint32(rec, a.Size)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(a.Thread))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(a.Region))
+	rec = append(rec, byte(a.Kind))
+	_, err := bw.Write(rec)
 	return err
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Codec v3: the compact block format. The header and region table are laid
@@ -103,9 +104,9 @@ func (t *v3Ctxs) reset() {
 // touched this block. thread must already be range-checked.
 func (t *v3Ctxs) ctx(thread int32) *v3Ctx {
 	if int(thread) >= len(t.ctxs) {
-		grown := make([]v3Ctx, thread+1)
-		copy(grown, t.ctxs)
-		t.ctxs = grown
+		// Amortized growth: a stream's goroutines appear one at a time.
+		// Slots past the old length are zero, so epoch 0 marks them fresh.
+		t.ctxs = slices.Grow(t.ctxs, int(thread)+1-len(t.ctxs))[:thread+1]
 	}
 	c := &t.ctxs[thread]
 	if c.epoch != t.epoch {
@@ -128,6 +129,7 @@ func (c *v3Ctx) update(a Access) {
 type v3BlockWriter struct {
 	payload []byte
 	recs    uint32
+	hdr     [v3BlockHdrLen]byte // framing scratch: a local would escape through io.Writer
 	v3Ctxs
 }
 
@@ -200,11 +202,11 @@ func (w *v3BlockWriter) flush(out io.Writer) (int, error) {
 	if w.recs == 0 {
 		return 0, nil
 	}
-	var hdr [v3BlockHdrLen]byte
+	hdr := w.hdr[:]
 	binary.LittleEndian.PutUint32(hdr[0:], w.recs)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(w.payload)))
 	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(w.payload))
-	if _, err := out.Write(hdr[:]); err != nil {
+	if _, err := out.Write(hdr); err != nil {
 		return 0, fmt.Errorf("trace: write block header: %w", err)
 	}
 	if _, err := out.Write(w.payload); err != nil {

@@ -5,7 +5,9 @@
 # mode, the sharded analysis pipeline, replay producer staging), blocking
 # queues (the detect queue reproductions), merge-order algebra (comm), the
 # static-coalescing differential wall (passes) and the observability
-# primitives (obs timelines, tracers, histograms) plus a facade-level race
+# primitives (obs timelines, tracers, histograms), the probe shim's
+# streaming spills (per-goroutine batches merged under the global lock)
+# plus a facade-level race
 # pass scraping /metrics and /progress during a live sharded run and
 # running every Parallel entry path (no two goroutines share a signature)
 # and the entry-path table's Parallel rows plus crafted out-of-range trace
@@ -34,11 +36,11 @@ go vet ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (sig, exec, pipeline, detect, redundancy, accuracy, trace, comm, patterns, metrics, instrument, passes, obs) =="
+echo "== go test -race (sig, exec, pipeline, detect, redundancy, accuracy, trace, comm, patterns, metrics, instrument, passes, obs, probe) =="
 go test -race ./internal/sig/... ./internal/exec/... ./internal/pipeline/... ./internal/detect/... \
 	./internal/redundancy/... ./internal/accuracy/... ./internal/trace/... ./internal/comm/... \
 	./internal/patterns/... ./internal/metrics/... ./internal/instrument/... ./internal/passes/... \
-	./internal/obs/...
+	./internal/obs/... ./probe
 
 echo "== go test -race (facade timeline + live concurrent scrape + Parallel entry paths) =="
 go test -race -run 'TestTimeline|TestTelemetryConcurrentScrape|TestReportOverheadAttribution|TestProgressStageLatencies|TestProfileParallelMode|TestParallelDeterministicTotalInvariance|TestParallelEntryPathsPopulateSingleOwnerLayers' .
