@@ -186,6 +186,9 @@ type ThroughputResult struct {
 	Rows []ThroughputRow
 }
 
+// throughputReps is how many fresh runs Throughput times per profiler.
+const throughputReps = 5
+
 // Throughput records one application's access stream, then replays it
 // through every profiler implementation and measures events/second.
 func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error) {
@@ -201,84 +204,117 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 	_ = prog
 	res := &ThroughputResult{App: app}
 
-	add := func(name string, run func() uint64) {
-		t0 := time.Now()
-		mem := run()
-		wall := time.Since(t0).Nanoseconds()
-		row := ThroughputRow{Name: name, Events: uint64(len(stream)), WallNs: wall, MemoryBytes: mem}
-		if wall > 0 {
-			row.MEventsPerS = float64(len(stream)) / (float64(wall) / 1e9) / 1e6
+	// add times one profiler over the stream. prepare builds its state
+	// untimed (the signature arenas alone are megabytes, which would
+	// swamp a SimDev stream's analysis) and returns the analysis to time,
+	// which reports the profiler's memory. The row keeps the fastest of
+	// throughputReps fresh runs, so one run preempted on a loaded host
+	// does not decide the comparison. The first setup error stops the rest.
+	var addErr error
+	add := func(name string, prepare func() (func() uint64, error)) {
+		if addErr != nil {
+			return
+		}
+		row := ThroughputRow{Name: name, Events: uint64(len(stream))}
+		for rep := 0; rep < throughputReps; rep++ {
+			run, err := prepare()
+			if err != nil {
+				addErr = fmt.Errorf("%s: %w", name, err)
+				return
+			}
+			t0 := time.Now()
+			mem := run()
+			wall := time.Since(t0).Nanoseconds()
+			if rep == 0 || wall < row.WallNs {
+				row.WallNs, row.MemoryBytes = wall, mem
+			}
+		}
+		if row.WallNs > 0 {
+			row.MEventsPerS = float64(len(stream)) / (float64(row.WallNs) / 1e9) / 1e6
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	newDetector := func() (*detect.Detector, *sig.Asymmetric, error) {
+		asym, err := sig.NewAsymmetric(sig.Options{Slots: env.SigSlots, Threads: env.Threads, FPRate: env.FPRate})
+		if err != nil {
+			return nil, nil, err
+		}
+		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
+		return d, asym, err
+	}
 
-	add("discopop", func() uint64 {
-		asym, err := sig.NewAsymmetric(sig.Options{Slots: env.SigSlots, Threads: env.Threads, FPRate: env.FPRate})
+	add("discopop", func() (func() uint64, error) {
+		d, asym, err := newDetector()
 		if err != nil {
-			return 0
+			return nil, err
 		}
-		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
-		if err != nil {
-			return 0
-		}
-		d.ProcessStream(stream)
-		return asym.FootprintBytes()
+		return func() uint64 {
+			d.ProcessStream(stream)
+			return asym.FootprintBytes()
+		}, nil
 	})
-	add("discopop-sampled-1/8", func() uint64 {
-		asym, err := sig.NewAsymmetric(sig.Options{Slots: env.SigSlots, Threads: env.Threads, FPRate: env.FPRate})
+	add("discopop-sampled-1/8", func() (func() uint64, error) {
+		d, asym, err := newDetector()
 		if err != nil {
-			return 0
-		}
-		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
-		if err != nil {
-			return 0
+			return nil, err
 		}
 		smp, err := detect.NewSampler(d, 1, 8)
 		if err != nil {
-			return 0
+			return nil, err
 		}
-		for _, a := range stream {
-			smp.Process(a)
-		}
-		return asym.FootprintBytes()
+		return func() uint64 {
+			for _, a := range stream {
+				smp.Process(a)
+			}
+			return asym.FootprintBytes()
+		}, nil
 	})
 	for _, k := range []int{2, 4, 8} {
 		k := k
-		add(fmt.Sprintf("discopop-sharded-%d", k), func() uint64 {
+		add(fmt.Sprintf("discopop-sharded-%d", k), func() (func() uint64, error) {
 			e, err := pipeline.New(pipeline.Options{
 				Shards: k, Threads: env.Threads,
 				NewBackend: pipeline.AsymmetricFactory(env.SigSlots, k, env.Threads, env.FPRate, env.Probes.SigProbes()),
 				Probes:     env.Probes.PipelineProbes(),
 			})
 			if err != nil {
-				return 0
+				return nil, err
 			}
-			e.ProcessStream(stream)
-			e.Close()
-			return e.SigFootprintBytes()
+			return func() uint64 {
+				e.ProcessStream(stream)
+				e.Close()
+				return e.SigFootprintBytes()
+			}, nil
 		})
 	}
-	add("perfect", func() uint64 {
+	add("perfect", func() (func() uint64, error) {
 		p := sig.NewPerfect(env.Threads)
 		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: p})
 		if err != nil {
-			return 0
+			return nil, err
 		}
-		d.ProcessStream(stream)
-		return p.FootprintBytes()
+		return func() uint64 {
+			d.ProcessStream(stream)
+			return p.FootprintBytes()
+		}, nil
 	})
 	for _, name := range []string{"memcheck", "helgrind", "helgrind+", "ipm", "sd3", "pairwise"} {
 		name := name
-		add(name, func() uint64 {
+		add(name, func() (func() uint64, error) {
 			p, err := baselines.NewByName(name)
 			if err != nil {
-				return 0
+				return nil, err
 			}
-			for _, a := range stream {
-				p.ProcessAccess(a)
-			}
-			return p.Result().MemoryBytes
+			return func() uint64 {
+				for _, a := range stream {
+					p.ProcessAccess(a)
+				}
+				return p.Result().MemoryBytes
+			}, nil
 		})
+	}
+	if addErr != nil {
+		return nil, addErr
 	}
 	return res, nil
 }
