@@ -86,11 +86,10 @@ type Options struct {
 	// uninstrumented at the cost of one nil check per hook site.
 	Probes *obs.DetectProbes
 	// Overhead, when non-nil, enables the sampled overhead split: one access
-	// in every 2^overheadSampleShift times its redundancy-cache check,
-	// signature-backend call and shadow-monitor calls individually and
-	// publishes the scaled-up nanoseconds, so the self-attribution report
-	// can divide detector time into signature / redundancy / shadow without
-	// per-access clock reads.
+	// in every 2^overheadSampleShift times its redundancy-cache check and
+	// shadow-monitor calls individually and publishes the scaled-up
+	// nanoseconds, so the self-attribution report can divide detector time
+	// into signature / redundancy / shadow without per-access clock reads.
 	// Nil costs one branch per access.
 	Overhead *obs.OverheadProbes
 }
@@ -165,9 +164,8 @@ func (d *Detector) Process(a trace.Access) (Event, bool) {
 		d.regionAcc[a.Region].Add(1)
 	}
 	gaddr := a.Addr >> d.opts.GranularityBits
-	// t0 starts each timed section of a sampled access.
-	var t0 time.Time
 	if c := d.redun; c != nil {
+		var t0 time.Time
 		if timed {
 			t0 = time.Now()
 		}
@@ -185,15 +183,10 @@ func (d *Detector) Process(a trace.Access) (Event, bool) {
 			return Event{}, false
 		}
 	}
-	if timed {
-		t0 = time.Now()
-	}
 	if a.Kind == trace.Write {
 		d.opts.Backend.ObserveWrite(gaddr, a.Thread)
-		if timed {
-			d.opts.Overhead.SignatureNanos.Add(uint64(time.Since(t0)) << overheadSampleShift)
-		}
 		if m := d.opts.Accuracy; m != nil {
+			var t0 time.Time
 			if timed {
 				t0 = time.Now()
 			}
@@ -205,9 +198,6 @@ func (d *Detector) Process(a trace.Access) (Event, bool) {
 		return Event{}, false
 	}
 	writer, first := d.opts.Backend.ObserveRead(gaddr, a.Thread)
-	if timed {
-		d.opts.Overhead.SignatureNanos.Add(uint64(time.Since(t0)) << overheadSampleShift)
-	}
 	ok := writer != sig.NoWriter && writer != a.Thread && first
 	if ok && int(writer) >= d.opts.Threads {
 		// A collision-corrupted slot can, in principle, surface a stale
@@ -219,6 +209,7 @@ func (d *Detector) Process(a trace.Access) (Event, bool) {
 	}
 	if m := d.opts.Accuracy; m != nil {
 		// The monitor pairs the post-drop verdict with the exact shadow's.
+		var t0 time.Time
 		if timed {
 			t0 = time.Now()
 		}

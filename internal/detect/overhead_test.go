@@ -47,15 +47,13 @@ func TestProcessDisabledPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProcessOverheadSplitAccumulates exercises the sampled redundancy,
-// signature and shadow timing: with Overhead probes wired and enough
-// accesses to hit the 1/256 sample, the redundancy and signature buckets
-// must accumulate scaled nanoseconds.
+// TestProcessOverheadSplitAccumulates exercises the sampled redundancy/shadow
+// timing: with Overhead probes wired and enough accesses to hit the 1/256
+// sample, the redundancy bucket must accumulate scaled nanoseconds.
 func TestProcessOverheadSplitAccumulates(t *testing.T) {
 	reg := obs.NewRegistry()
 	ovh := &obs.OverheadProbes{
 		RedundancyNanos: reg.Counter("overhead_redundancy_nanos_total"),
-		SignatureNanos:  reg.Counter("overhead_signature_nanos_total"),
 		ShadowNanos:     reg.Counter("overhead_shadow_nanos_total"),
 	}
 	d := overheadDetector(t, ovh)
@@ -71,8 +69,5 @@ func TestProcessOverheadSplitAccumulates(t *testing.T) {
 	}
 	if ovh.RedundancyNanos.Value() == 0 {
 		t.Errorf("sampled redundancy nanos stayed 0 after %d accesses", 1<<overheadSampleShift*64)
-	}
-	if ovh.SignatureNanos.Value() == 0 {
-		t.Errorf("sampled signature nanos stayed 0 after %d accesses", 1<<overheadSampleShift*64)
 	}
 }

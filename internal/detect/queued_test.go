@@ -77,11 +77,6 @@ func TestQueueGrowsUnderBurst(t *testing.T) {
 func TestQueuedFastAnalyserStaysSmall(t *testing.T) {
 	// With a full-speed analyser and a slow producer, the queue stays tiny
 	// relative to the stream: the burst problem is about rate mismatch.
-	// The producer is paced by yielding its CPU to the analyser, which only
-	// paces it with a single P: with more, Gosched returns at once while
-	// the analyser runs on another P at its own (slower) per-item cost, and
-	// the peak then measures the host's scheduler, not the queue.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	stream := genAccesses(20000, 11)
 	qd := newDetector(t, 8, nil)
 	q := NewQueued(qd, 0)
@@ -89,7 +84,8 @@ func TestQueuedFastAnalyserStaysSmall(t *testing.T) {
 		q.Process(a)
 		if i%16 == 0 {
 			// A producer that yields (simulating real compute between
-			// accesses) gives the analyser scheduler time to drain.
+			// accesses) gives the analyser scheduler time to drain — the
+			// explicit yield matters on single-CPU hosts.
 			runtime.Gosched()
 		}
 	}

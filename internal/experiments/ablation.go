@@ -186,9 +186,6 @@ type ThroughputResult struct {
 	Rows []ThroughputRow
 }
 
-// throughputReps is how many fresh runs Throughput times per profiler.
-const throughputReps = 5
-
 // Throughput records one application's access stream, then replays it
 // through every profiler implementation and measures events/second.
 func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error) {
@@ -204,117 +201,84 @@ func Throughput(env Env, app string, size splash.Size) (*ThroughputResult, error
 	_ = prog
 	res := &ThroughputResult{App: app}
 
-	// add times one profiler over the stream. prepare builds its state
-	// untimed (the signature arenas alone are megabytes, which would
-	// swamp a SimDev stream's analysis) and returns the analysis to time,
-	// which reports the profiler's memory. The row keeps the fastest of
-	// throughputReps fresh runs, so one run preempted on a loaded host
-	// does not decide the comparison. The first setup error stops the rest.
-	var addErr error
-	add := func(name string, prepare func() (func() uint64, error)) {
-		if addErr != nil {
-			return
-		}
-		row := ThroughputRow{Name: name, Events: uint64(len(stream))}
-		for rep := 0; rep < throughputReps; rep++ {
-			run, err := prepare()
-			if err != nil {
-				addErr = fmt.Errorf("%s: %w", name, err)
-				return
-			}
-			t0 := time.Now()
-			mem := run()
-			wall := time.Since(t0).Nanoseconds()
-			if rep == 0 || wall < row.WallNs {
-				row.WallNs, row.MemoryBytes = wall, mem
-			}
-		}
-		if row.WallNs > 0 {
-			row.MEventsPerS = float64(len(stream)) / (float64(row.WallNs) / 1e9) / 1e6
+	add := func(name string, run func() uint64) {
+		t0 := time.Now()
+		mem := run()
+		wall := time.Since(t0).Nanoseconds()
+		row := ThroughputRow{Name: name, Events: uint64(len(stream)), WallNs: wall, MemoryBytes: mem}
+		if wall > 0 {
+			row.MEventsPerS = float64(len(stream)) / (float64(wall) / 1e9) / 1e6
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	newDetector := func() (*detect.Detector, *sig.Asymmetric, error) {
+
+	add("discopop", func() uint64 {
 		asym, err := sig.NewAsymmetric(sig.Options{Slots: env.SigSlots, Threads: env.Threads, FPRate: env.FPRate})
 		if err != nil {
-			return nil, nil, err
+			return 0
 		}
 		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
-		return d, asym, err
-	}
-
-	add("discopop", func() (func() uint64, error) {
-		d, asym, err := newDetector()
 		if err != nil {
-			return nil, err
+			return 0
 		}
-		return func() uint64 {
-			d.ProcessStream(stream)
-			return asym.FootprintBytes()
-		}, nil
+		d.ProcessStream(stream)
+		return asym.FootprintBytes()
 	})
-	add("discopop-sampled-1/8", func() (func() uint64, error) {
-		d, asym, err := newDetector()
+	add("discopop-sampled-1/8", func() uint64 {
+		asym, err := sig.NewAsymmetric(sig.Options{Slots: env.SigSlots, Threads: env.Threads, FPRate: env.FPRate})
 		if err != nil {
-			return nil, err
+			return 0
+		}
+		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: asym})
+		if err != nil {
+			return 0
 		}
 		smp, err := detect.NewSampler(d, 1, 8)
 		if err != nil {
-			return nil, err
+			return 0
 		}
-		return func() uint64 {
-			for _, a := range stream {
-				smp.Process(a)
-			}
-			return asym.FootprintBytes()
-		}, nil
+		for _, a := range stream {
+			smp.Process(a)
+		}
+		return asym.FootprintBytes()
 	})
 	for _, k := range []int{2, 4, 8} {
 		k := k
-		add(fmt.Sprintf("discopop-sharded-%d", k), func() (func() uint64, error) {
+		add(fmt.Sprintf("discopop-sharded-%d", k), func() uint64 {
 			e, err := pipeline.New(pipeline.Options{
 				Shards: k, Threads: env.Threads,
 				NewBackend: pipeline.AsymmetricFactory(env.SigSlots, k, env.Threads, env.FPRate, env.Probes.SigProbes()),
 				Probes:     env.Probes.PipelineProbes(),
 			})
 			if err != nil {
-				return nil, err
+				return 0
 			}
-			return func() uint64 {
-				e.ProcessStream(stream)
-				e.Close()
-				return e.SigFootprintBytes()
-			}, nil
+			e.ProcessStream(stream)
+			e.Close()
+			return e.SigFootprintBytes()
 		})
 	}
-	add("perfect", func() (func() uint64, error) {
+	add("perfect", func() uint64 {
 		p := sig.NewPerfect(env.Threads)
 		d, err := detect.New(detect.Options{Threads: env.Threads, Backend: p})
 		if err != nil {
-			return nil, err
+			return 0
 		}
-		return func() uint64 {
-			d.ProcessStream(stream)
-			return p.FootprintBytes()
-		}, nil
+		d.ProcessStream(stream)
+		return p.FootprintBytes()
 	})
 	for _, name := range []string{"memcheck", "helgrind", "helgrind+", "ipm", "sd3", "pairwise"} {
 		name := name
-		add(name, func() (func() uint64, error) {
+		add(name, func() uint64 {
 			p, err := baselines.NewByName(name)
 			if err != nil {
-				return nil, err
+				return 0
 			}
-			return func() uint64 {
-				for _, a := range stream {
-					p.ProcessAccess(a)
-				}
-				return p.Result().MemoryBytes
-			}, nil
+			for _, a := range stream {
+				p.ProcessAccess(a)
+			}
+			return p.Result().MemoryBytes
 		})
-	}
-	if addErr != nil {
-		return nil, addErr
 	}
 	return res, nil
 }

@@ -132,20 +132,14 @@ type StageProbes struct {
 }
 
 // OverheadProbes accumulates the sampled overhead split inside the detector:
-// every overheadSampleEvery-th access times its redundancy-cache check,
-// signature-backend call and shadow-monitor calls individually and adds the
-// scaled-up nanoseconds here. The remaining detector time is attributed to
-// the signature backend at report time (signature = batch service −
-// redundancy − shadow), so the sum of the three buckets is exact even though
-// the split is an estimate. The sampled signature time only matters when the
-// three estimates together overrun batch service (one timed call preempted
-// on a loaded host is scaled up 256-fold): the report then shrinks all three
-// in proportion, so no bucket is wiped out by another's outlier.
+// every overheadSampleEvery-th access times its redundancy-cache check and
+// shadow-monitor calls individually and adds the scaled-up nanoseconds here.
+// The remaining detector time is attributed to the signature backend at
+// report time (signature = batch service − redundancy − shadow), so the sum
+// of the three buckets is exact even though the split is an estimate.
 type OverheadProbes struct {
 	// RedundancyNanos estimates total time in the redundancy fast-path cache.
 	RedundancyNanos *Counter
-	// SignatureNanos estimates total time in the signature backend.
-	SignatureNanos *Counter
 	// ShadowNanos estimates total time in the accuracy monitor's shadow.
 	ShadowNanos *Counter
 }
@@ -236,7 +230,6 @@ func DefaultProbes(r *Registry) *Probes {
 		},
 		Overhead: &OverheadProbes{
 			RedundancyNanos: r.Counter("overhead_redundancy_nanos_total"),
-			SignatureNanos:  r.Counter("overhead_signature_nanos_total"),
 			ShadowNanos:     r.Counter("overhead_shadow_nanos_total"),
 		},
 	}

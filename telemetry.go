@@ -568,7 +568,7 @@ func (t *Telemetry) probes() *obs.Probes {
 // delta against this snapshot.
 type overheadBaseline struct {
 	decode, queue, service, window, merge uint64
-	redun, sig, shadow                    uint64
+	redun, shadow                         uint64
 }
 
 // markOverheadBaseline snapshots the current stage totals; wire calls it so
@@ -587,7 +587,6 @@ func (t *Telemetry) markOverheadBaseline() {
 		window:  st.Window.Sum(),
 		merge:   st.Merge.Sum(),
 		redun:   ov.RedundancyNanos.Value(),
-		sig:     ov.SignatureNanos.Value(),
 		shadow:  ov.ShadowNanos.Value(),
 	}
 	t.ovhMu.Unlock()
@@ -597,8 +596,8 @@ func (t *Telemetry) markOverheadBaseline() {
 // analysis stages. The bucket sum uses only the exact batch-granularity
 // measurements (decode + queue + batch service + window + merge); the
 // sampled redundancy/shadow estimates merely split batch service into its
-// signature / redundancy / shadow components and are clamped, together with
-// the sampled signature estimate, so the signature residual keeps its share. Returns nil when no stage recorded
+// signature / redundancy / shadow components and are clamped so the
+// signature residual never goes negative. Returns nil when no stage recorded
 // anything (synthetic runs without the instrumented replay/pipeline paths).
 func (t *Telemetry) overheadReport() *OverheadReport {
 	if t == nil {
@@ -620,10 +619,7 @@ func (t *Telemetry) overheadReport() *OverheadReport {
 	}
 	redun := ov.RedundancyNanos.Value() - base.redun
 	shadow := ov.ShadowNanos.Value() - base.shadow
-	// The sampled signature time serves the clamp only: when the three
-	// estimates overrun batch service, scaling them all keeps the
-	// signature's share instead of leaving it a zero residual.
-	if split := redun + shadow + ov.SignatureNanos.Value() - base.sig; split > service {
+	if split := redun + shadow; split > service {
 		scale := float64(service) / float64(split)
 		redun = uint64(float64(redun) * scale)
 		shadow = uint64(float64(shadow) * scale)

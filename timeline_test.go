@@ -239,49 +239,6 @@ func TestReportOverheadAttribution(t *testing.T) {
 	}
 }
 
-// TestOverheadClampKeepsSignatureShare pins the clamp of the sampled split:
-// one preempted timed shadow call, scaled up 256-fold, can make the shadow
-// estimate alone exceed batch service. Scaling the three sampled estimates
-// together must keep every bucket non-zero and the bucket sum exact, where
-// clamping redundancy and shadow alone left the signature a zero residual.
-func TestOverheadClampKeepsSignatureShare(t *testing.T) {
-	tel := NewTelemetry()
-	p := tel.probes()
-	tel.markOverheadBaseline()
-	const service = 10_000_000
-	p.Stage.BatchService.Observe(service)
-	p.Overhead.RedundancyNanos.Add(1_000_000)
-	p.Overhead.SignatureNanos.Add(4_000_000)
-	p.Overhead.ShadowNanos.Add(50_000_000) // the outlier
-	ov := tel.overheadReport()
-	if ov == nil {
-		t.Fatal("no overhead report")
-	}
-	if ov.SignatureNanos == 0 || ov.RedundancyNanos == 0 || ov.ShadowNanos == 0 {
-		t.Fatalf("a bucket was wiped out by the shadow outlier: %+v", ov)
-	}
-	if got := ov.SignatureNanos + ov.RedundancyNanos + ov.ShadowNanos; got != service {
-		t.Fatalf("signature+redundancy+shadow = %d, want batch service %d", got, service)
-	}
-	// The sampled proportions 50 : 4 : 1 survive the clamp.
-	if !(ov.ShadowNanos > ov.SignatureNanos && ov.SignatureNanos > ov.RedundancyNanos) {
-		t.Errorf("proportions lost: %+v", ov)
-	}
-
-	// Estimates inside batch service are reported as sampled.
-	tel = NewTelemetry()
-	p = tel.probes()
-	tel.markOverheadBaseline()
-	p.Stage.BatchService.Observe(service)
-	p.Overhead.RedundancyNanos.Add(1_000_000)
-	p.Overhead.SignatureNanos.Add(4_000_000)
-	p.Overhead.ShadowNanos.Add(2_000_000)
-	ov = tel.overheadReport()
-	if ov.RedundancyNanos != 1_000_000 || ov.ShadowNanos != 2_000_000 || ov.SignatureNanos != service-3_000_000 {
-		t.Errorf("unclamped split changed: %+v", ov)
-	}
-}
-
 // TestProgressStageLatencies checks the per-stage latency table surfaced on
 // /progress: a sharded replay must populate decode, producer and
 // batch_service rows with sane quantiles.
