@@ -75,7 +75,6 @@ type recorder struct {
 	all    []*TG
 	opened bool             // the first spill chose the sink
 	sink   *sink            // nil before the first spill, after a failure and after Shutdown
-	spills int              // spills made so far
 	free   [][]trace.Access // recycled batch buffers
 	runs   []run            // merge scratch: the records one spill took
 	heap   []int32          // merge scratch: indices into runs, by head time
@@ -132,10 +131,6 @@ type TG struct {
 	id    int32
 	mu    sync.Mutex
 	batch []trace.Access // guarded by mu
-	// full is a filled batch awaiting a spill, guarded by mu. The owner
-	// runs a spill right after filling one and appends nothing until it
-	// returns, so there is never more than one.
-	full []trace.Access
 
 	// carry holds records a spill took but stamped after its watermark;
 	// spare is the buffer the next spill's carry is built in. Both are
@@ -209,10 +204,9 @@ func (g *TG) record(kind trace.Kind, p unsafe.Pointer, size uint32, region int32
 		Region: region,
 		Kind:   kind,
 	})
+	// A filled batch stays in place: its owner spills next and appends
+	// nothing until then, and the spill swaps in a recycled buffer.
 	filled := len(g.batch) >= batchSize
-	if filled {
-		g.full, g.batch = g.batch, nil // the spill swaps in a recycled buffer
-	}
 	g.mu.Unlock()
 	if filled {
 		r.mu.Lock()
@@ -240,7 +234,6 @@ func (r *recorder) buffer() []trace.Access {
 // merged output is exactly the global clock order. Records stamped later
 // stay behind in their owner's carry for the next spill.
 func (r *recorder) spillLocked(watermark uint64) {
-	r.spills++
 	if !r.opened {
 		r.opened = true
 		s, err := r.openSink()
@@ -272,24 +265,17 @@ func (r *recorder) spillLocked(watermark uint64) {
 	}
 }
 
-// take moves every goroutine's carry, full batch and partial batch into
-// r.runs, oldest first per goroutine, and gives each goroutine whose
-// batch it took a recycled one.
+// take moves every goroutine's carry and batch into r.runs, oldest first
+// per goroutine, and gives each goroutine whose batch it took a recycled
+// one.
 func (r *recorder) take() {
 	for _, g := range r.all {
 		if len(g.carry) > 0 {
 			r.runs = append(r.runs, run{owner: g, buf: g.carry})
 		}
 		g.mu.Lock()
-		if g.full != nil {
-			r.runs = append(r.runs, run{owner: g, buf: g.full, recycle: true})
-			g.full = nil
-		}
 		if len(g.batch) > 0 {
 			r.runs = append(r.runs, run{owner: g, buf: g.batch, recycle: true})
-			g.batch = nil
-		}
-		if g.batch == nil {
 			g.batch = r.buffer()
 		}
 		g.mu.Unlock()
@@ -472,10 +458,13 @@ func (r *recorder) live(s *sink, goroutines int) error {
 		return nil
 	}
 	opts := commprof.Options{
-		AnalysisShards:      r.envInt("COMMPROF_SHARDS", runtime.GOMAXPROCS(0)),
+		AnalysisShards:      r.envInt("COMMPROF_SHARDS", 0),
 		PhaseWindow:         uint64(r.envInt("COMMPROF_PHASES", 0)),
 		GranularityBits:     uint(r.envInt("COMMPROF_GRANULARITY", 0)),
 		RedundancyCacheBits: uint(r.envInt("COMMPROF_REDUNDANCY_BITS", 0)),
+	}
+	if opts.AnalysisShards == 0 {
+		opts.AnalysisShards = runtime.GOMAXPROCS(0) // as ProfileTraceParallel defaults it
 	}
 	if slots := r.envInt("COMMPROF_SIG", 0); slots > 0 {
 		opts.SignatureSlots = uint64(slots)

@@ -3,6 +3,7 @@ package probe
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -170,10 +171,12 @@ func TestStreamOrderWall(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	midRun := r.spills
+	// Every full batch spills at once, so at least five batches' worth of
+	// records were merged and encoded while the goroutines still ran.
+	midRun := r.sink.enc.Written()
 	r.shutdown()
-	if midRun < 5 {
-		t.Fatalf("%d spills before Shutdown, want at least 5", midRun)
+	if midRun < 5*batchSize {
+		t.Fatalf("%d records encoded before Shutdown, want at least %d", midRun, 5*batchSize)
 	}
 	if log.Len() > 0 && !strings.Contains(log.String(), "recorded") {
 		t.Fatalf("unexpected diagnostics: %s", log)
@@ -237,10 +240,12 @@ func TestSpillAllocatesNothing(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		fill()
 	}
-	before := r.spills
+	before := r.sink.enc.Written()
 	allocs := testing.AllocsPerRun(10, fill)
-	if r.spills-before != 11 {
-		t.Fatalf("%d spills over 11 batches, want one per batch", r.spills-before)
+	// One goroutine's spill has every record stamped by its watermark, so
+	// each batch is encoded by the spill it triggers.
+	if got := r.sink.enc.Written() - before; got != 11*batchSize {
+		t.Fatalf("%d records encoded over 11 batches, want %d", got, 11*batchSize)
 	}
 	if allocs != 0 {
 		t.Fatalf("one spill allocates %.1f times at steady state, want 0", allocs)
@@ -338,8 +343,8 @@ func TestSinkErrorsSurfaceOnce(t *testing.T) {
 			if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20 {
 				t.Fatalf("%d probes after the failure allocated %d bytes", more, grew)
 			}
-			if len(g.batch) != 0 || g.full != nil {
-				t.Fatalf("probes after the failure were staged: batch %d, full %d", len(g.batch), len(g.full))
+			if len(g.batch) != 0 {
+				t.Fatalf("probes after the failure were staged: batch %d", len(g.batch))
 			}
 			r.shutdown()
 			if n := strings.Count(log.String(), "commprof/probe:"); n != 1 {
@@ -387,9 +392,30 @@ func TestSpillAfterShutdownIsNoOp(t *testing.T) {
 }
 
 // TestLiveModeReport runs a recorder without COMMPROF_TRACE: Shutdown
-// replays the in-memory v3 trace and prints the standard report.
+// replays the in-memory v3 trace through the sharded pipeline and prints
+// the standard report. COMMPROF_SHARDS=0, what commtrace -mode live passes
+// by default, means one shard per GOMAXPROCS.
 func TestLiveModeReport(t *testing.T) {
-	r, out, log := newTestRecorder(map[string]string{"COMMPROF_SHARDS": "2"})
+	for _, tc := range []struct{ shards, want string }{
+		{"2", "sharded analysis: 2 shards"},
+		{"0", fmt.Sprintf("sharded analysis: %d shards", runtime.GOMAXPROCS(0))},
+	} {
+		t.Run("shards="+tc.shards, func(t *testing.T) {
+			rep := liveReport(t, map[string]string{"COMMPROF_SHARDS": tc.shards})
+			for _, want := range []string{"workload replay: 2 threads, 16392 accesses", "64 bytes communicated", "work.go:12", tc.want} {
+				if !strings.Contains(rep, want) {
+					t.Fatalf("live report lacks %q:\n%s", want, rep)
+				}
+			}
+		})
+	}
+}
+
+// liveReport runs two goroutines, one writing and one reading a shared
+// array, through a live-mode recorder and returns the printed report.
+func liveReport(t *testing.T, kv map[string]string) string {
+	t.Helper()
+	r, out, log := newTestRecorder(kv)
 	var shared [8]uint64
 	g := r.g()
 	for i := range shared {
@@ -410,12 +436,7 @@ func TestLiveModeReport(t *testing.T) {
 	if log.Len() > 0 {
 		t.Fatalf("unexpected diagnostics: %s", log)
 	}
-	rep := out.String()
-	for _, want := range []string{"workload replay: 2 threads, 16392 accesses", "64 bytes communicated", "work.go:12"} {
-		if !strings.Contains(rep, want) {
-			t.Fatalf("live report lacks %q:\n%s", want, rep)
-		}
-	}
+	return out.String()
 }
 
 // TestMemFileSeek pins the live buffer's WriteSeeker: an overwrite in the
